@@ -9,9 +9,10 @@ fixed-iteration CG (SSS + indexed reduction) under three operator
 regimes:
 
 * ``per_call`` — a fresh :class:`ParallelSymmetricSpMV` is constructed
-  for every application (the naive "build on use" pattern),
-* ``unbound``  — one driver reused, but workspaces and lazy caches are
-  re-resolved per call,
+  (and closed) for every application (the naive "build on use"
+  pattern),
+* ``unbound``  — one driver reused through ``driver(x)``: the driver's
+  cached bound operator plus one copy into a fresh output array,
 * ``bound``    — ``driver.bind()``: precompiled tasks, persistent
   zeroed-in-place workspaces, window-restricted scatters.
 
@@ -105,11 +106,12 @@ def make_variants(coo: COOMatrix, n_threads: int = N_THREADS):
 
     Returns ``(variant -> apply-callable, close-callable)``. The
     ``per_call`` closure stands the whole operator up inside every
-    application — driver, reduction indexing, *and* its thread pool —
-    which is exactly the state a bound operator keeps alive between
-    iterations. ``unbound`` and ``bound`` share one persistent threads
-    executor; ``bound`` additionally owns precompiled tasks, scatters
-    and zeroed-in-place workspaces.
+    application — driver, reduction indexing, bound operator *and* its
+    thread pool — and closes it again, which is exactly the state a
+    bound operator keeps alive between iterations. ``unbound`` and
+    ``bound`` share one persistent threads executor; ``unbound``
+    applies the driver's cached operator and copies its result out,
+    ``bound`` returns the operator's workspace directly.
     """
     sss = SSSMatrix.from_coo(coo)
     parts = partition_nnz_balanced(sss.expanded_row_nnz(), n_threads)
@@ -119,12 +121,14 @@ def make_variants(coo: COOMatrix, n_threads: int = N_THREADS):
 
     def per_call(x):
         with Executor("threads", max_workers=n_threads) as ex:
-            return ParallelSymmetricSpMV(
+            with ParallelSymmetricSpMV(
                 sss, parts, "indexed", executor=ex
-            )(x)
+            ) as kernel:
+                return kernel(x)
 
     def close():
         bound.close()
+        driver.close()
         shared.close()
 
     variants = {

@@ -24,7 +24,6 @@ from repro.formats import CSBSymMatrix, CSRMatrix, SSSMatrix
 from repro.machine import DUNNINGTON, predict_spmv
 from repro.matrices import get_entry
 from repro.parallel import (
-    ColoredSymmetricSpMV,
     ParallelCSBSymSpMV,
     ParallelSymmetricSpMV,
     coloring_stats,
@@ -92,12 +91,12 @@ def _verify_correctness():
 
     sss = SSSMatrix.from_coo(coo)
     parts = thread_partitions(coo, 8, symmetric=True)
-    assert np.allclose(ParallelSymmetricSpMV(sss, parts, "indexed")(x), ref)
+    for reduction in ("indexed", "coloring"):
+        with ParallelSymmetricSpMV(sss, parts, reduction) as kernel:
+            assert np.allclose(kernel(x), ref), reduction
 
     csbs = CSBSymMatrix(coo)
     assert np.allclose(ParallelCSBSymSpMV(csbs, n_threads=8)(x), ref)
-
-    assert np.allclose(ColoredSymmetricSpMV(sss)(x), ref)
 
 
 def test_related_methods(benchmark):

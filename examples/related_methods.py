@@ -25,11 +25,9 @@ from repro.formats import CSBSymMatrix, CSRMatrix, SSSMatrix
 from repro.machine import DUNNINGTON, predict_spmv
 from repro.matrices import get_entry
 from repro.parallel import (
-    ColoredSymmetricSpMV,
     ParallelCSBSymSpMV,
     ParallelSymmetricSpMV,
     coloring_stats,
-    distance2_coloring,
     predict_colored_time,
     predict_csb_sym_time,
 )
@@ -49,8 +47,8 @@ def main() -> None:
     # --- local-vectors indexing (this paper) --------------------------
     sss = SSSMatrix.from_coo(coo)
     parts = thread_partitions(coo, threads, symmetric=True)
-    indexed = ParallelSymmetricSpMV(sss, parts, "indexed")
-    assert np.allclose(indexed(x), reference)
+    with ParallelSymmetricSpMV(sss, parts, "indexed") as indexed:
+        assert np.allclose(indexed(x), reference)
     fp = indexed.footprint()
     t_idx = predict_spmv(
         sss, parts, DUNNINGTON, reduction="indexed", machine_scale=scale
@@ -77,9 +75,9 @@ def main() -> None:
     )
 
     # --- coloring (Batista et al.) -------------------------------------
-    colors = distance2_coloring(sss)
-    colored = ColoredSymmetricSpMV(sss, colors)
-    assert np.allclose(colored(x), reference)
+    with ParallelSymmetricSpMV(sss, parts, "coloring") as colored:
+        assert np.allclose(colored(x), reference)
+    colors = colored.reduction.schedule.colors
     stats = coloring_stats(colors)
     t_col = predict_colored_time(
         sss, colors, DUNNINGTON, threads, machine_scale=scale

@@ -156,8 +156,7 @@ class Combo:
         the harness classifies (serial combos ignore the plan: there is
         no batch to disrupt). ``executor_mode`` instead picks a plain
         backend ("threads"/"processes") for the parallel/bound drivers
-        — the cross-backend rotation of the fuzz-smoke CI job; note the
-        process backend only truly engages for bound combos.
+        — the cross-backend rotation of the fuzz-smoke CI job.
         """
         executor = None
         if self.driver != "serial":
@@ -183,6 +182,9 @@ class Combo:
                     apply.close()
                 if not ok0:
                     return False, "mismatch", r0
+            elif self.driver == "parallel":
+                with apply:
+                    y = apply(x)
             else:
                 y = apply(x)
             ok, ratio = check_against_oracle(y, dense, x)

@@ -100,7 +100,8 @@ class ShardedOperator:
     reduction : str
         Reduction method for the per-shard symmetric driver.
     executor : Executor, optional
-        Shared by every per-shard driver (serial default).
+        Shared by every per-shard driver (serial default); a
+        ``processes`` executor is rejected.
     """
 
     def __init__(
@@ -124,6 +125,13 @@ class ShardedOperator:
             raise ValueError(f"n_threads must be >= 1, got {n_threads}")
         self.reduction = reduction
         self.executor = executor or Executor("serial")
+        if self.executor.mode == "processes":
+            # Every shard reload would bind a fresh driver and start a
+            # worker pool for it.
+            raise ValueError(
+                "ShardedOperator does not run on a 'processes' executor; "
+                "use 'threads' or 'serial'"
+            )
         largest = max(
             (info.n_bytes for info in store.shards), default=0
         )
@@ -189,6 +197,7 @@ class ShardedOperator:
             if victim is None:
                 break
             entry = self._resident.pop(victim)
+            entry.driver.close()
             self.resident_bytes -= entry.n_bytes
             if tracer.enabled:
                 tracer.count("ooc.shard_evictions")
@@ -244,12 +253,13 @@ class ShardedOperator:
                 f"y has shape {total.shape}, expected {x.shape}"
             )
         total[...] = 0.0
+        k = x.shape[1] if x.ndim == 2 else None
         with tracer.span("ooc.apply", shards=self.store.n_shards):
             for index in range(self.store.n_shards):
-                driver = self._driver(index)
+                op = self._driver(index).operator(k)
                 # Fixed ascending accumulation order: bit-identical
                 # across cache states and repeat applies.
-                total += driver(x)
+                total += op(x)
         if tracer.enabled:
             tracer.count("ooc.applies")
         return total
@@ -260,7 +270,9 @@ class ShardedOperator:
         return self.store.diagonal()
 
     def close(self) -> None:
-        """Drop every resident shard."""
+        """Drop every resident shard and close its driver."""
+        for entry in self._resident.values():
+            entry.driver.close()
         self._resident.clear()
         self.resident_bytes = 0
 

@@ -11,7 +11,6 @@ from ..resilience import (
 )
 from .bound import BoundOperator, BoundSpMV, BoundSymmetricSpMV
 from .coloring import (
-    ColoredSymmetricSpMV,
     ColoringSchedule,
     ColoringUnsupportedError,
     build_coloring_schedule,
@@ -66,7 +65,6 @@ __all__ = [
     "BoundOperator",
     "BoundSymmetricSpMV",
     "BoundSpMV",
-    "ColoredSymmetricSpMV",
     "ColoringSchedule",
     "ColoringUnsupportedError",
     "build_coloring_schedule",

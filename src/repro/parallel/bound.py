@@ -1,14 +1,15 @@
 """Bound operators: persistent SpM×V / SpM×M execution plans.
 
 Iterative solvers apply the same operator hundreds of times (CG,
-Fig. 14), yet the plain drivers pay avoidable per-call overhead every
-time: task closures are rebuilt, ``(p, N[, k])`` local buffers and the
-output vector are re-allocated, and the lazy scatter compilations of
-the formats may land inside the first timed iteration. This module is
-the repo's OSKI-style answer (Akbudak et al.; RACE's precomputed
-execution schedules): ``driver.bind(k)`` performs all of that work
-*once* and returns a :class:`BoundOperator` whose ``__call__`` only
-zeroes workspaces in place and runs the precompiled tasks.
+Fig. 14). This module is the repo's OSKI-style answer (Akbudak et al.;
+RACE's precomputed execution schedules) and the drivers' only
+execution path: binding builds the per-thread task closures, the
+``(p, N[, k])`` local buffers and the output workspace, and compiles
+the formats' lazy scatter caches *once*; a :class:`BoundOperator`'s
+``__call__`` then only zeroes workspaces in place and runs the
+precompiled tasks. ``driver(x)`` applies the driver's own cached
+operator (``driver.operator(k)``); ``driver.bind(k)`` returns a new
+one the caller owns and closes.
 
 Binding is signature-specific: ``k=None`` binds the 1-D SpM×V path,
 an integer ``k`` binds the ``(N, k)`` multi-RHS path. The returned
@@ -27,7 +28,6 @@ import numpy as np
 
 from ..obs.tracer import active as _active_tracer, warn as _obs_warn
 from ..resilience.errors import OperatorClosedError, PoisonedOperatorError
-from .spmv import _record_traffic
 
 __all__ = [
     "BoundOperator",
@@ -38,6 +38,40 @@ __all__ = [
 ]
 
 _POISON_POLICIES = ("recover", "raise")
+
+
+def _record_traffic(tracer, matrix, k: Optional[int], reduction=None) -> int:
+    """Model-relevant traffic counters for one application: matrix and
+    stream bytes from the :mod:`repro.analysis.traffic` model and (for
+    symmetric drivers) the reduction rows actually touched vs the full
+    effective-ranges budget ``N·(p-1)``. Only called when a tracer is
+    enabled, so the analysis import stays off the cold-start path (and
+    avoids a module-level cycle: analysis imports parallel). Returns
+    the stream bytes for the ``op.traffic_bytes`` histogram."""
+    from ..analysis.traffic import spmm_stream_bytes, spmv_stream_bytes
+
+    size = matrix.size_bytes()
+    if k is None:
+        stream = spmv_stream_bytes(size, matrix.n_rows, matrix.n_cols)
+    else:
+        stream = spmm_stream_bytes(size, matrix.n_rows, matrix.n_cols, k)
+    tracer.count("traffic.matrix_bytes", size)
+    tracer.count("traffic.stream_bytes", stream)
+    if reduction is not None:
+        fp = reduction.footprint(k or 1)
+        tracer.count("reduce.rows_touched", fp.reduction_reads)
+        tracer.count(
+            "reduce.rows_budget",
+            reduction.n_rows * max(0, reduction.n_threads - 1) * (k or 1),
+        )
+        if getattr(reduction, "conflict_free", False):
+            sched = reduction.schedule
+            tracer.count("coloring.classes", sched.n_colors)
+            # One rendezvous per barrier-separated step; small classes
+            # are merged into serial steps, so this can be below the
+            # class count.
+            tracer.count("coloring.barrier_waits", sched.n_barriers)
+    return stream
 
 
 def compile_symmetric_tasks(
@@ -75,10 +109,9 @@ def compile_symmetric_tasks(
 def compile_unsymmetric_tasks(
     matrix, partitions, k: Optional[int], y, get_x
 ) -> list:
-    """Per-thread closures for the row-partitioned unsymmetric driver,
-    matching the unbound dispatch: CSX partitions execute by index,
-    CSR by row range. Shared with the process-pool workers like
-    :func:`compile_symmetric_tasks`."""
+    """Per-thread closures for the row-partitioned unsymmetric driver:
+    CSX partitions execute by index, CSR by row range. Shared with the
+    process-pool workers like :func:`compile_symmetric_tasks`."""
     multi = k is not None
     tasks = []
     if hasattr(matrix, "spmv_partition_only"):
@@ -107,8 +140,9 @@ def compile_unsymmetric_tasks(
 class BoundOperator:
     """Reusable execution plan for repeated ``y = A @ x`` products.
 
-    Created through ``ParallelSymmetricSpMV.bind`` / ``ParallelSpMV
-    .bind`` — not directly. At bind time the operator
+    Created through ``driver.bind(k)`` (caller-owned) or
+    ``driver.operator(k)`` (owned and cached by the driver) — not
+    directly. At bind time the operator
 
     (a) precompiles the per-thread task list (closures are built once,
         reading the input slot set by each call),
@@ -169,6 +203,8 @@ class BoundOperator:
         self.on_poison = on_poison
         self.n_calls = 0
         self._closed = False
+        # Set by the driver for its cached operator(k); see __del__.
+        self._owned = False
         self._poisoned = False
         # Serializes apply/recover/close: one set of persistent
         # workspaces means applications are non-reentrant by design
@@ -443,12 +479,12 @@ class BoundOperator:
     def _apply_traced(
         self, tracer, x: np.ndarray, out: Optional[np.ndarray]
     ) -> np.ndarray:
-        """The same application wrapped in phase spans and counters.
-        Phase names match the unbound driver ("spmv.mult" /
-        "spmv.reduce") so summaries aggregate across both paths.
-        Additionally streams per-application latency and modeled
-        traffic into the ``op.apply_ns`` / ``op.traffic_bytes``
-        histograms, keyed by (format, reduction, backend)."""
+        """The same application wrapped in phase spans ("spmv.mult" /
+        "spmv.reduce") and counters (``bound.calls`` is the one
+        per-apply counter). Additionally streams per-application
+        latency and modeled traffic into the ``op.apply_ns`` /
+        ``op.traffic_bytes`` histograms, keyed by (format, reduction,
+        backend)."""
         t0 = perf_counter_ns()
         with tracer.span("bound.apply", k=self.k):
             with tracer.span("bound.zero"):
@@ -469,7 +505,7 @@ class BoundOperator:
             finally:
                 self._x = None
             tracer.count("bound.calls")
-            _, stream_bytes = _record_traffic(
+            stream_bytes = _record_traffic(
                 tracer, self.driver.matrix, self.k,
                 getattr(self.driver, "reduction", None),
             )
@@ -529,9 +565,13 @@ class BoundOperator:
         # A bound operator owns workspaces and pinned format caches;
         # relying on GC to release them is a leak pattern. Count it
         # (obs warning counter, visible in every trace export) and
-        # raise the standard ResourceWarning.
+        # raise the standard ResourceWarning. A driver's own cached
+        # operators are not counted: driver.close() releases them, and
+        # an unclosed driver and its operators form a reference cycle
+        # the cyclic collector reclaims at an arbitrary later point,
+        # which would make the counter nondeterministic.
         try:
-            if not self._closed:
+            if not self._closed and not self._owned:
                 _obs_warn("bound_operator.unclosed_gc")
                 warnings.warn(
                     f"{type(self).__name__} garbage-collected without "

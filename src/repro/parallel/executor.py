@@ -14,13 +14,13 @@ multiplication phase and the reduction phase). Four backends exist:
   platforms and is only used by the sanity benchmarks.
 * ``processes`` — GIL-free true parallelism over
   ``multiprocessing.shared_memory`` workspaces. The backend only
-  engages through a *bound* operator (whose ``bind`` builds the
-  segments and the long-lived worker pool; see DESIGN.md §4g): plain
-  closures cannot cross a process boundary, so an unbound driver on
-  this executor degrades to the thread pool with a one-time
-  ``executor.processes_inline`` warning. A ``plan=`` composes chaos
-  injection with the process backend — dispatch order is perturbed in
-  the parent, raise/delay faults fire inside the workers.
+  engages through a bound operator (whose ``bind`` builds the
+  segments and the long-lived worker pool; see DESIGN.md §4g), which
+  every driver call goes through. Plain closures cannot cross a
+  process boundary, so a ``run_batch`` without the operator's worker
+  pool raises instead of running anywhere else. A ``plan=`` composes
+  chaos injection with the process backend — dispatch order is
+  perturbed in the parent, raise/delay faults fire inside the workers.
 * ``chaos`` — the ``threads`` backend with a deterministic
   :class:`~repro.resilience.chaos.ChaosPlan` injecting per-task
   exceptions, delays and submission reorders, so every failure path of
@@ -119,7 +119,6 @@ class Executor:
         self.n_batches = 0
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_size = 0
-        self._warned_inline = False
         # Guards the batch-id counter and the pool lifecycle. Two
         # concurrent run_batch callers must never observe the same batch
         # id (it seeds chaos-plan fault derivation and trace/metric
@@ -161,8 +160,9 @@ class Executor:
         ``tasks`` by index. ``tasks`` itself stays authoritative for
         the serial fallback path, which runs the parent-side closures
         over the very same shared arrays. A ``processes`` executor
-        called without ``remote`` (an unbound driver) degrades to the
-        thread pool and counts ``executor.processes_inline`` once.
+        called without ``remote`` raises ``ValueError``: closures
+        cannot cross the process boundary, and running them on threads
+        instead would silently change the backend.
 
         On failure every sibling future is awaited or cancelled first,
         then a single :class:`BatchExecutionError` aggregates all task
@@ -180,6 +180,12 @@ class Executor:
         """
         if not tasks:
             return None
+        if self.mode == "processes" and remote is None:
+            raise ValueError(
+                "a 'processes' executor runs only a bound operator's "
+                "worker pool (remote=); apply through driver(x) or "
+                "driver.bind(k)"
+            )
         tasks = list(tasks)
         tracer = _active_tracer()
         name = label or "task"
@@ -223,7 +229,7 @@ class Executor:
             order = list(range(len(tasks)))
 
         try:
-            if self.mode == "processes" and remote is not None:
+            if self.mode == "processes":
                 remote.run(
                     batch,
                     len(tasks),
@@ -231,12 +237,6 @@ class Executor:
                     label=name,
                 )
             else:
-                if self.mode == "processes" and not self._warned_inline:
-                    # Closures cannot cross a process boundary; only
-                    # bound operators carry the shared-memory state the
-                    # workers need. Degrade loudly, once.
-                    self._warned_inline = True
-                    _obs_warn("executor.processes_inline")
                 self._run_pooled(
                     instrumented(exec_tasks), order, name, batch
                 )

@@ -411,7 +411,7 @@ class ColoringReduction(ReductionMethod):
     reduction-phase traffic. What replaces them is the precompiled
     :class:`~repro.parallel.coloring.ColoringSchedule` — color classes
     split into nnz-balanced row batches, executed class-at-a-time with a
-    barrier between classes — which drivers and bound operators detect
+    barrier between classes — which the bound operators detect
     via :attr:`conflict_free` and run through
     :func:`~repro.parallel.coloring.run_colored_steps`.
 

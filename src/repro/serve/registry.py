@@ -6,19 +6,19 @@ content rather than an object identity — two clients naming the same
 matrix coalesce even if they registered it independently, and a key
 survives process restarts (it is a pure function of the COO triplets).
 
-Each :class:`RegisteredOperator` owns one parallel driver and lazily
-binds it per RHS-block width ``k`` (``driver.bind(k)``): the OSKI-style
-amortization the paper's bound-operator layer provides, extended with
-a per-``k`` cache so a coalesced batch of 5 and a solo request reuse
-their respective compiled workspaces across the server's lifetime. A
+Each :class:`RegisteredOperator` owns one parallel driver, whose
+per-``k`` bound-operator cache (``driver.operator(k)``) is the
+OSKI-style amortization the paper's bound-operator layer provides: a
+coalesced batch of 5 and a solo request reuse their respective
+compiled workspaces across the server's lifetime. A
 serial reference clone of the driver (same matrix, same partitions,
 same reduction instance, serial executor) backs the bit-identity
 oracle: what a request *would* have computed alone, with no executor
 and no coalescing in the loop.
 
 Thread-safety: ``operator(k)`` may be called from the event loop and
-from executor threads concurrently; the per-``k`` bind cache is locked
-with the same lock-free-hit / locked-miss discipline as the format
+from executor threads concurrently; the driver's cache is locked with
+the same lock-free-hit / locked-miss discipline as the format
 compilation caches (bound operators are safe to share once
 constructed — their ``apply`` serializes internally).
 """
@@ -117,33 +117,24 @@ def matrix_fingerprint(matrix) -> str:
 
 
 class RegisteredOperator:
-    """One matrix's serving entry: the parallel driver, its per-``k``
-    bound-operator cache, and the serial reference driver."""
+    """One matrix's serving entry: the parallel driver (with its
+    per-``k`` bound-operator cache) and the serial reference driver."""
 
     def __init__(self, key: str, driver, serial_driver):
         self.key = key
         self.driver = driver
         self.serial_driver = serial_driver
-        self._ops: dict[Optional[int], object] = {}
-        self._lock = threading.Lock()
 
     @property
     def n(self) -> int:
         return self.driver.matrix.n_rows
 
     def operator(self, k: Optional[int] = None):
-        """The driver bound for ``k`` right-hand sides (``None`` = the
-        1-D SpM×V signature), bind-on-first-use and cached. The bound
-        operator serializes its own applies, so one instance per ``k``
-        is shared by every request."""
-        op = self._ops.get(k)  # lock-free hit: dict.get is atomic
-        if op is None:
-            with self._lock:
-                op = self._ops.get(k)
-                if op is None:
-                    op = self.driver.bind(k)
-                    self._ops[k] = op
-        return op
+        """The driver's operator for ``k`` right-hand sides (``None`` =
+        the 1-D SpM×V signature), bound on first use and cached by the
+        driver. The bound operator serializes its own applies, so one
+        instance per ``k`` is shared by every request."""
+        return self.driver.operator(k)
 
     def reference(self, x: np.ndarray) -> np.ndarray:
         """Serial single-request computation of ``A @ x`` — the
@@ -151,11 +142,9 @@ class RegisteredOperator:
         return self.serial_driver(np.ascontiguousarray(x))
 
     def close(self) -> None:
-        """Release every bound operator's workspace."""
-        with self._lock:
-            ops, self._ops = dict(self._ops), {}
-        for op in ops.values():
-            op.close()
+        """Release the bound operators of both drivers."""
+        self.driver.close()
+        self.serial_driver.close()
 
 
 class OperatorRegistry:

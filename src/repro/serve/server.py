@@ -74,11 +74,8 @@ def serial_compute(
     if kind == "spmv":
         return entry.reference(vec)
     tol, max_iter = params
-    # The lambda hides ``bind`` so block_cg applies the serial driver
-    # directly instead of binding a throwaway operator.
     res = block_conjugate_gradient(
-        lambda X: entry.serial_driver(X), vec[:, None],
-        tol=tol, max_iter=max_iter,
+        entry.serial_driver, vec[:, None], tol=tol, max_iter=max_iter,
     )
     return res.column(0)
 
@@ -328,10 +325,11 @@ class SolverServer:
     # ------------------------------------------------------------------
     # Batch execution
     # ------------------------------------------------------------------
-    def _op_lock(self, key: str, k: Optional[int]) -> asyncio.Lock:
+    def _op_lock(self, key: str, k) -> asyncio.Lock:
         """Serializes solves sharing the ``(key, k)`` bound operator:
         its persistent workspaces hold one computation at a time (a
-        block-CG reads the spmm result across an entire iteration)."""
+        block-CG reads the spmm result across an entire iteration).
+        ``k="serial"`` guards the reference driver's operators."""
         lkey = (key, k)
         lock = self._op_locks.get(lkey)
         if lock is None:
@@ -434,9 +432,12 @@ class SolverServer:
         for req in live:
             self.metrics.counter("serve.fallback_requests").inc()
             try:
-                value = await loop.run_in_executor(
-                    None, serial_compute, entry, kind, params, req.vec
-                )
+                # The reference driver's cached operators are shared by
+                # every fallback of this entry, like the served ones.
+                async with self._op_lock(entry.key, "serial"):
+                    value = await loop.run_in_executor(
+                        None, serial_compute, entry, kind, params, req.vec
+                    )
             except Exception as exc:
                 self._finish_error(req, exc, counter="serve.failed")
             else:

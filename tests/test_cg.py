@@ -1,11 +1,22 @@
 """Unit tests for the instrumented Conjugate Gradient solver."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.formats import COOMatrix, CSRMatrix, CSXSymMatrix, SSSMatrix
 from repro.parallel import ParallelSymmetricSpMV, partition_rows_equal
-from repro.solvers import OpCounter, conjugate_gradient
+from repro.obs import reset_warning_counts, warning_counts
+from repro.solvers import (
+    OpCounter,
+    bind_operator,
+    block_conjugate_gradient,
+    conjugate_gradient,
+    preconditioned_conjugate_gradient,
+)
+from repro.solvers.pcg import jacobi_preconditioner
 
 
 @pytest.fixture(scope="session")
@@ -119,6 +130,33 @@ def test_works_with_csx_sym(spd_system):
     res = conjugate_gradient(kernel, b, tol=1e-12)
     assert res.converged
     assert np.allclose(res.x, x_true, atol=1e-6)
+
+
+def test_solves_through_a_driver_leave_no_unclosed_operator(spd_system):
+    """Each solve used to bind a fresh operator it never closed (one
+    ``bound_operator.unclosed_gc`` and one ResourceWarning per solve);
+    solves now apply the driver's own cached operator."""
+    dense, x_true, b = spd_system
+    coo = COOMatrix.from_dense(dense)
+    parts = partition_rows_equal(coo.n_rows, 3)
+    driver = ParallelSymmetricSpMV(SSSMatrix.from_coo(coo), parts, "indexed")
+    B = np.stack([b, 2.0 * b], axis=1)
+    reset_warning_counts()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(3):
+            assert conjugate_gradient(driver, b, tol=1e-12).converged
+        assert preconditioned_conjugate_gradient(
+            driver, b, jacobi_preconditioner(np.diag(dense)),
+            tol=1e-12,
+        ).converged
+        assert block_conjugate_gradient(driver, B, tol=1e-12).converged.all()
+        gc.collect()
+    assert "bound_operator.unclosed_gc" not in warning_counts()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert bind_operator(driver) is driver.operator()
+    assert bind_operator(driver, 2) is driver.operator(2)
+    driver.close()
 
 
 def test_same_answer_across_formats(spd_system):

@@ -7,9 +7,12 @@ from repro.formats import COOMatrix, SSSMatrix
 from repro.machine import DUNNINGTON
 from repro.matrices import banded_random, dense_clustered
 from repro.parallel import (
-    ColoredSymmetricSpMV,
+    ParallelSymmetricSpMV,
+    build_coloring_schedule,
     coloring_stats,
     distance2_coloring,
+    make_reduction,
+    partition_rows_equal,
     predict_colored_time,
 )
 from repro.parallel.coloring import verify_coloring
@@ -57,33 +60,48 @@ def test_color_count_grows_with_degree(rng):
     assert n_dense > 2 * n_sparse  # "geometry limits the potential"
 
 
+def _colored(sss, colors=None):
+    """The ``reduction="coloring"`` driver, optionally over a given
+    coloring."""
+    parts = partition_rows_equal(sss.n_rows, 3)
+    reduction = make_reduction("coloring", sss, parts)
+    if colors is not None:
+        reduction.schedule = build_coloring_schedule(
+            sss, len(parts), colors=colors
+        )
+    return ParallelSymmetricSpMV(sss, parts, reduction)
+
+
 def test_colored_spmv_matches_dense(sym_dense_medium, rng):
     coo = COOMatrix.from_dense(sym_dense_medium)
     sss = SSSMatrix.from_coo(coo)
-    kernel = ColoredSymmetricSpMV(sss)
     x = rng.standard_normal(coo.n_cols)
-    assert np.allclose(kernel(x), sym_dense_medium @ x)
+    with _colored(sss) as kernel:
+        assert np.allclose(kernel(x), sym_dense_medium @ x)
 
 
 def test_colored_spmv_with_precomputed_colors(sparse_sss, rng):
     colors = distance2_coloring(sparse_sss)
-    kernel = ColoredSymmetricSpMV(sparse_sss, colors)
     x = rng.standard_normal(sparse_sss.n_cols)
-    assert np.allclose(kernel(x), sparse_sss.spmv(x))
+    with _colored(sparse_sss, colors) as kernel:
+        assert np.array_equal(kernel.reduction.schedule.colors, colors)
+        assert np.allclose(kernel(x), sparse_sss.to_dense() @ x)
 
 
 def test_colored_output_reuse(sparse_sss, rng):
-    kernel = ColoredSymmetricSpMV(sparse_sss)
     x = rng.standard_normal(sparse_sss.n_cols)
     y = np.full(sparse_sss.n_rows, 7.0)
-    out = kernel(x, y)
+    with _colored(sparse_sss) as kernel:
+        out = kernel(x, y)
     assert out is y
-    assert np.allclose(y, sparse_sss.spmv(x))
+    assert np.allclose(y, sparse_sss.to_dense() @ x)
 
 
 def test_bad_colors_shape_rejected(sparse_sss):
     with pytest.raises(ValueError):
-        ColoredSymmetricSpMV(sparse_sss, np.zeros(3, dtype=np.int64))
+        build_coloring_schedule(
+            sparse_sss, 3, colors=np.zeros(3, dtype=np.int64)
+        )
 
 
 def test_stats_fields(sparse_sss):

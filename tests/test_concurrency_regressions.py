@@ -163,6 +163,44 @@ def test_bound_operator_concurrent_apply_bit_exact(
     assert not failures, failures[0]
 
 
+@pytest.mark.parametrize("reduction", ["indexed", "coloring"])
+def test_unbound_driver_concurrent_calls_bit_exact(
+    fast_switching, reduction
+):
+    """Two threads calling the same *driver* share its cached bound
+    operator; the applies serialize on its lock and each caller gets
+    its own result array, bit-identical to a solo serial call."""
+    matrix, parts = build_symmetric("random", "sss", "thirds")
+    driver = ParallelSymmetricSpMV(
+        matrix, parts, reduction, executor=Executor("threads", 2)
+    )
+    with ParallelSymmetricSpMV(matrix, parts, driver.reduction) as serial:
+        xs = [rhs_block(matrix.n_rows, None, seed=s) for s in (1, 2)]
+        refs = [serial(x) for x in xs]
+    failures: list[str] = []
+    start = threading.Barrier(2)
+
+    def worker(slot: int) -> None:
+        x, ref = xs[slot], refs[slot]
+        start.wait()
+        for i in range(60):
+            y = driver(x)
+            if not np.array_equal(y, ref):
+                failures.append(f"thread {slot} iter {i}")
+                return
+
+    threads = [
+        threading.Thread(target=worker, args=(i,)) for i in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    driver.close()
+    driver.executor.close()
+    assert not failures, failures[0]
+
+
 def test_bound_operator_recover_during_applies(fast_switching):
     """recover() from a second thread must serialize against applies
     instead of re-zeroing workspaces mid-computation."""

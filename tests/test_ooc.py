@@ -340,6 +340,27 @@ class TestShardedOperator:
             ex.close()
         assert np.array_equal(serial, threaded)
 
+    def test_processes_executor_rejected(self, store64):
+        ex = Executor("processes", max_workers=2)
+        try:
+            with pytest.raises(ValueError, match="processes"):
+                ShardedOperator(store64, executor=ex)
+        finally:
+            ex.close()
+
+    def test_evicted_and_closed_shards_close_their_drivers(self, store64):
+        budget = max(i.n_bytes for i in store64.shards) + 1
+        op = ShardedOperator(store64, memory_budget=budget)
+        x = np.ones(store64.n_cols)
+        op(x)
+        first = op._driver(0)
+        bound = first.operator()
+        op(x)  # shard 0 was evicted (and later reloaded)
+        assert bound.closed
+        resident = op._driver(0).operator()
+        op.close()
+        assert resident.closed
+
     def test_parse_memory_budget(self):
         assert parse_memory_budget("64K") == 64 * 1024
         assert parse_memory_budget("8m") == 8 << 20

@@ -11,7 +11,9 @@ invariants get their own regression suite:
 * an operator garbage-collected *without* ``close()`` still releases
   its segments through the arena/pool finalizers (while the existing
   ``bound_operator.unclosed_gc`` accounting fires);
-* worker-executed task spans are attributed with the worker ``pid``.
+* worker-executed task spans are attributed with the worker ``pid``;
+* a plain ``driver(x)`` runs on the workers (through the driver's own
+  bound operator), and a batch without a worker pool raises.
 """
 
 import gc
@@ -21,9 +23,12 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.formats import CSBSymMatrix
+from repro.matrices.generators import grid_laplacian_2d
 from repro.obs import Tracer, reset_warning_counts, tracing, warning_counts
 from repro.parallel import (
     Executor,
+    ParallelCSBSymSpMV,
     ParallelSymmetricSpMV,
     live_segments,
     shared_memory_available,
@@ -134,21 +139,48 @@ def test_worker_spans_carry_worker_pid():
     assert pids and os.getpid() not in pids
 
 
-def test_unbound_driver_degrades_inline_with_warning():
-    reset_warning_counts()
+def test_driver_call_runs_on_worker_processes():
     matrix, parts = build_symmetric("random", "sss", "thirds")
+    x = rhs_block(matrix.n_cols, None)
+    with ParallelSymmetricSpMV(matrix, parts, "indexed") as reference:
+        serial = reference(x)
     ex = Executor("processes", max_workers=2)
+    tracer = Tracer()
     try:
         kernel = ParallelSymmetricSpMV(matrix, parts, "indexed", executor=ex)
-        x = rhs_block(matrix.n_cols, None)
-        # No bound operator → no shared segments → thread-pool degrade,
-        # counted exactly once across repeated applications.
-        for _ in range(2):
-            assert np.allclose(kernel(x), reference_product("random", x))
+        with tracing(tracer):
+            y = kernel(x)
+        assert np.array_equal(y, serial)
+        pids = {
+            ev.attrs["pid"] for _, ev in tracer.events()
+            if ev.name == "spmv.mult.task"
+        }
+        assert pids and os.getpid() not in pids
+        kernel.close()
     finally:
         ex.close()
-    assert warning_counts().get("executor.processes_inline") == 1
     assert live_segments() == []
+
+
+def test_run_batch_without_worker_pool_raises():
+    ex = Executor("processes", max_workers=2)
+    ran = []
+    try:
+        with pytest.raises(ValueError, match="processes"):
+            ex.run_batch([lambda: ran.append(1)])
+    finally:
+        ex.close()
+    assert ran == []
+
+
+def test_csb_driver_rejects_processes_executor():
+    coo = grid_laplacian_2d(8, 8)
+    ex = Executor("processes", max_workers=2)
+    try:
+        with pytest.raises(ValueError, match="processes"):
+            ParallelCSBSymSpMV(CSBSymMatrix(coo, beta=4), executor=ex)
+    finally:
+        ex.close()
 
 
 @pytest.mark.skipif(
