@@ -93,7 +93,7 @@ def measure_one(name: str, strategy: str, repeats: int) -> dict:
         tracer = Tracer(enabled=True)
         with tracing(tracer):
             drv(x)
-        counters = tracer.counters()
+        m = tracer.metrics
         stats = timed_repeat(lambda: drv(x), repeats=repeats)
     finally:
         ex.close()
@@ -108,7 +108,7 @@ def measure_one(name: str, strategy: str, repeats: int) -> dict:
         "p50_ms": stats["p50_ms"],
         "p95_ms": stats["p95_ms"],
         "counters": {
-            key: float(counters.get(key, 0.0)) for key in COUNTER_KEYS
+            key: m.counter_value(key) for key in COUNTER_KEYS
         },
         "model": {
             "t_total": pred.total,

@@ -1000,9 +1000,9 @@ def _ooc_operator(args, tracer):
 
 def _ooc_counters(tracer) -> dict:
     return {
-        name: value
-        for name, value in sorted(tracer.counters().items())
-        if name.startswith("ooc.")
+        entry["name"]: entry["value"]
+        for entry in tracer.metrics.snapshot()["counters"]
+        if entry["name"].startswith("ooc.")
     }
 
 

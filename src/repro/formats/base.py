@@ -173,8 +173,8 @@ class RowScatter:
         if tracer.enabled:
             # Window restriction savings: elements the full-length
             # scatter would have streamed vs the effective window.
-            tracer.count("scatter.window_elems", hi - lo)
-            tracer.count("scatter.full_elems", y.shape[0])
+            tracer.metrics.counter("scatter.window_elems").inc(hi - lo)
+            tracer.metrics.counter("scatter.full_elems").inc(y.shape[0])
         if y.ndim == 1:
             y[lo:hi] += np.bincount(
                 self._rebased, weights=products, minlength=hi - lo
@@ -186,10 +186,10 @@ class RowScatter:
         # membership — this local reference stays valid either way.
         flat = self._flat.get(k)
         if tracer.enabled:
-            tracer.count(
+            tracer.metrics.counter(
                 "scatter.flat_hit" if flat is not None
                 else "scatter.flat_miss"
-            )
+            ).inc()
         if flat is None:
             flat = self._flat_for(k)
         y[lo:hi] += np.bincount(

@@ -53,11 +53,13 @@ class COOMatrix(SparseFormat):
         allow_nonfinite: bool = False,
     ):
         super().__init__(shape)
-        rows = np.asarray(rows, dtype=np.int32)
-        cols = np.asarray(cols, dtype=np.int32)
+        rows = np.asarray(rows)
+        cols = np.asarray(cols)
         vals = np.asarray(vals, dtype=np.float64)
         check_entry_arrays(rows, cols, vals)
         check_index_bounds(rows, cols, self.shape)
+        rows = rows.astype(np.int32, copy=False)
+        cols = cols.astype(np.int32, copy=False)
         if not allow_nonfinite:
             check_finite(vals, "stored values")
 

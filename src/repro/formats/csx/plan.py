@@ -103,9 +103,9 @@ class ExecutionPlan:
         sc = self._row_scatters.get(i)
         tracer = _active_tracer()
         if tracer.enabled:
-            tracer.count(
+            tracer.metrics.counter(
                 "csx.scatter_hit" if sc is not None else "csx.scatter_miss"
-            )
+            ).inc()
         if sc is None:
             with self._cache_lock:
                 sc = self._row_scatters.get(i)
@@ -124,9 +124,9 @@ class ExecutionPlan:
         cache = self._tsplit_cache.get((i, boundary))
         tracer = _active_tracer()
         if tracer.enabled:
-            tracer.count(
+            tracer.metrics.counter(
                 "csx.tsplit_hit" if cache is not None else "csx.tsplit_miss"
-            )
+            ).inc()
         if cache is None:
             with self._cache_lock:
                 cache = self._tsplit_cache.get((i, boundary))

@@ -226,10 +226,10 @@ class SSSMatrix(SymmetricFormat):
         cache = self._spmm_part_cache.get(key)
         tracer = _active_tracer()
         if tracer.enabled:
-            tracer.count(
+            tracer.metrics.counter(
                 "sss.part_split_hit" if cache is not None
                 else "sss.part_split_miss"
-            )
+            ).inc()
         if cache is None:
             with self._cache_lock:
                 cache = self._spmm_part_cache.get(key)

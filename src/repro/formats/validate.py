@@ -121,12 +121,19 @@ def check_finite(arr: np.ndarray, what: str = "values") -> None:
 def check_index_bounds(
     rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
 ) -> None:
-    """Raise :class:`BoundsError` unless all indices fit ``shape``."""
+    """Raise :class:`DTypeError` unless the (non-empty) index arrays
+    have an integer dtype, :class:`BoundsError` unless all indices fit
+    ``shape``. Run it on the caller's arrays *before* narrowing them to
+    the storage dtype, so a wide or fractional index cannot wrap or
+    truncate into range."""
     if rows.size == 0:
         return
-    if rows.min(initial=0) < 0 or cols.min(initial=0) < 0:
+    for arr in (rows, cols):
+        if arr.dtype.kind not in "iu":
+            raise DTypeError(f"index arrays must be integer, got {arr.dtype}")
+    if rows.min() < 0 or cols.min() < 0:
         raise BoundsError("negative indices")
-    if rows.max(initial=-1) >= shape[0] or cols.max(initial=-1) >= shape[1]:
+    if rows.max() >= shape[0] or cols.max() >= shape[1]:
         raise BoundsError(f"index out of bounds for shape {shape}")
 
 

@@ -5,7 +5,9 @@ execution stack (executor, parallel drivers, bound operators, solvers,
 format caches) records into. Nothing is collected unless a tracer is
 activated (``with tracing() as t: ...`` or ``set_active``); the
 disabled-path cost is a single attribute check per instrumentation
-point. See DESIGN.md §4d for the span taxonomy and counter definitions.
+point. Spans go to the tracer, every number (counters, gauges,
+histograms) to its ``tracer.metrics`` registry. See DESIGN.md §4d for
+the span taxonomy and counter definitions.
 """
 
 from .metrics import (
@@ -18,7 +20,6 @@ from .metrics import (
     SLOReport,
     metrics_report,
     openmetrics_text,
-    write_metrics_jsonl,
 )
 from .export import (
     TRACE_SCHEMA,
@@ -67,7 +68,6 @@ __all__ = [
     "SLOReport",
     "openmetrics_text",
     "metrics_report",
-    "write_metrics_jsonl",
     "TRACE_SCHEMA",
     "summarize",
     "chrome_events",

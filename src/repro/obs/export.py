@@ -7,15 +7,15 @@ One trace document serves every consumer:
   the per-thread timeline; extra top-level keys are ignored by both).
 * ``summary.spans`` — p50/p95/total per span name (the machine-readable
   phase breakdown benchmarks and CI assert on).
-* ``summary.counters`` — merged traffic/cache/solver counters.
-* ``summary.metrics`` — the tracer's streaming-metrics snapshot
-  (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`): histograms
-  with bucket data and p50/p95/p99 summaries, counters, gauges.
+* ``summary.metrics`` — the tracer's metrics snapshot
+  (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`): the
+  traffic/reduction/cache/solver counters, gauges, and histograms
+  with bucket data and p50/p95/p99 summaries.
 
-Schema v2 additionally renders every merged tracer counter as a
-Chrome counter track (``"ph": "C"``): a zero sample at the timeline
-origin and the final total at the last event timestamp, so traffic
-and reduction volumes are visible alongside the span timeline.
+Every registry counter is also rendered as a Chrome counter track
+(``"ph": "C"``, labelled series named ``name{k=v}``): a zero sample at
+the timeline origin and the final total at the last event timestamp,
+so traffic and reduction volumes are visible alongside the spans.
 
 :func:`validate_trace` checks the schema; the ``repro trace`` CLI
 subcommand and the CI smoke job both go through it, so a malformed
@@ -28,6 +28,7 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
+from .metrics import _fmt_labels, metrics_report
 from .tracer import Tracer, summarize_ns, warning_counts
 
 __all__ = [
@@ -42,11 +43,7 @@ __all__ = [
 ]
 
 #: Schema tag stamped into every trace document.
-TRACE_SCHEMA = "repro-trace-v2"
-
-#: Schemas :func:`validate_trace` accepts: current plus still-readable
-#: predecessors (v1 lacks counter tracks and ``summary.metrics``).
-_READABLE_SCHEMAS = ("repro-trace-v2", "repro-trace-v1")
+TRACE_SCHEMA = "repro-trace-v3"
 
 #: Keys every span-summary entry must carry.
 _SPAN_STAT_KEYS = (
@@ -55,7 +52,7 @@ _SPAN_STAT_KEYS = (
 
 
 def summarize(tracer: Tracer) -> dict:
-    """Per-span-name statistics plus merged counters and warnings."""
+    """Per-span-name statistics plus the metrics snapshot and warnings."""
     spans = {
         name: summarize_ns(durs)
         for name, durs in sorted(tracer.span_durations_ns().items())
@@ -65,7 +62,6 @@ def summarize(tracer: Tracer) -> dict:
     )
     return {
         "spans": spans,
-        "counters": dict(sorted(tracer.counters().items())),
         "metrics": tracer.metrics.snapshot(),
         "warnings": warning_counts(),
         "n_instant_events": n_events,
@@ -76,7 +72,7 @@ def summarize(tracer: Tracer) -> dict:
 def chrome_events(tracer: Tracer) -> list[dict]:
     """Chrome ``trace_event`` list: one complete (``"ph": "X"``) event
     per span, one instant (``"ph": "i"``) per event, a counter track
-    (``"ph": "C"``) per merged tracer counter, plus thread-name
+    (``"ph": "C"``) per registry counter, plus thread-name
     metadata so the timeline shows real thread labels. Timestamps are
     microseconds relative to the tracer's origin."""
     origin = tracer.origin_ns
@@ -115,8 +111,9 @@ def chrome_events(tracer: Tracer) -> list[dict]:
     # per name. Counters carry totals, not timestamps, so each track is
     # a ramp — zero at the origin, the merged total at the last event
     # timestamp.
-    for name, value in sorted(tracer.counters().items()):
-        for ts, v in ((0.0, 0), (last_ts, value)):
+    for entry in tracer.metrics.snapshot()["counters"]:
+        name = entry["name"] + _fmt_labels(entry["labels"])
+        for ts, v in ((0.0, 0), (last_ts, entry["value"])):
             out.append({
                 "name": name,
                 "ph": "C",
@@ -160,15 +157,13 @@ def validate_trace(doc) -> list[str]:
     """Schema check of a trace document; returns the list of problems
     (empty = valid). Covers exactly what the consumers rely on: the
     Chrome loader needs well-formed ``traceEvents``; the benchmarks and
-    CI need the span statistics and counters."""
+    CI need the span statistics and the metrics snapshot."""
     problems: list[str] = []
     if not isinstance(doc, dict):
         return [f"document must be a JSON object, got {type(doc).__name__}"]
     schema = doc.get("schema")
-    if schema not in _READABLE_SCHEMAS:
-        problems.append(
-            f"schema must be one of {_READABLE_SCHEMAS}, got {schema!r}"
-        )
+    if schema != TRACE_SCHEMA:
+        problems.append(f"schema must be {TRACE_SCHEMA!r}, got {schema!r}")
     events = doc.get("traceEvents")
     if not isinstance(events, list):
         problems.append("traceEvents must be a list")
@@ -218,31 +213,26 @@ def validate_trace(doc) -> list[str]:
                     problems.append(
                         f"summary.spans[{name!r}] missing numeric {key!r}"
                     )
-    counters = summary.get("counters")
-    if not isinstance(counters, dict) or any(
-        not isinstance(v, (int, float)) for v in counters.values()
-    ):
-        problems.append("summary.counters must map names to numbers")
-    if schema == TRACE_SCHEMA:
-        # v2: the streaming-metrics snapshot is part of the contract.
-        metrics = summary.get("metrics")
-        if not isinstance(metrics, dict):
-            problems.append("summary.metrics must be an object (schema v2)")
-        else:
-            for section in ("counters", "gauges", "histograms"):
-                entries = metrics.get(section)
-                if not isinstance(entries, list):
-                    problems.append(
-                        f"summary.metrics.{section} must be a list"
-                    )
-                    continue
-                for j, entry in enumerate(entries):
-                    if not isinstance(entry, dict) or not isinstance(
-                        entry.get("name"), str
-                    ):
-                        problems.append(
-                            f"summary.metrics.{section}[{j}] needs a name"
-                        )
+    metrics = summary.get("metrics")
+    if not isinstance(metrics, dict):
+        problems.append("summary.metrics must be an object")
+        return problems
+    for section in ("counters", "gauges", "histograms"):
+        entries = metrics.get(section)
+        if not isinstance(entries, list):
+            problems.append(f"summary.metrics.{section} must be a list")
+            continue
+        for j, entry in enumerate(entries):
+            if not isinstance(entry, dict) or not isinstance(
+                entry.get("name"), str
+            ):
+                problems.append(f"summary.metrics.{section}[{j}] needs a name")
+            elif section == "counters" and not isinstance(
+                entry.get("value"), (int, float)
+            ):
+                problems.append(
+                    f"summary.metrics.counters[{j}] needs a numeric value"
+                )
     return problems
 
 
@@ -270,11 +260,7 @@ def text_report(
             )
     else:
         lines.append("(no spans recorded)")
-    counters = summary.get("counters", {})
-    if counters:
-        lines += ["", "counters:"]
-        for name, value in counters.items():
-            lines.append(f"  {name:<38} {value:>16,.0f}")
+    lines += ["", metrics_report(summary.get("metrics", {}))]
     warnings_ = summary.get("warnings", {})
     if warnings_:
         lines += ["", "warnings:"]

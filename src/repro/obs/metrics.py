@@ -1,10 +1,10 @@
 """Streaming metrics: counters, gauges, mergeable log-scale histograms.
 
 The tracer (:mod:`repro.obs.tracer`) records *what happened* — spans
-and raw counters a post-hoc exporter summarizes. This module records
-*distributions as they stream*: an operator applied a million times
-must answer "what is the p99 latency right now" without retaining a
-million samples. Three metric kinds cover that:
+a post-hoc exporter summarizes. This module records every *number*,
+including *distributions as they stream*: an operator applied a
+million times must answer "what is the p99 latency right now" without
+retaining a million samples. Three metric kinds cover that:
 
 * :class:`Counter` — monotone accumulator (requests, bytes, errors).
 * :class:`Gauge` — last-written value with a timestamp (the current
@@ -30,7 +30,7 @@ the same metric names as a threaded one.
 On top sit the consumers: :class:`SLO` (target percentile + threshold
 + error-budget accounting over a sliding window of evaluations),
 :func:`openmetrics_text` (Prometheus/OpenMetrics exposition text) and
-:func:`write_metrics_jsonl` (append-one-line-per-snapshot series).
+:func:`metrics_report` (the text table).
 
 Zero dependencies, pure stdlib — importable from the lowest layers,
 like the tracer it rides on.
@@ -38,12 +38,10 @@ like the tracer it rides on.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import time
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 __all__ = [
     "LogHistogram",
@@ -55,7 +53,6 @@ __all__ = [
     "SLOReport",
     "openmetrics_text",
     "metrics_report",
-    "write_metrics_jsonl",
 ]
 
 #: Default histogram range: 1 ns .. 1e12 ns (~17 minutes) — wide enough
@@ -260,7 +257,7 @@ class LogHistogram:
         )
         return new.merge(self)
 
-    # -- wire format (cross-process deltas, JSONL snapshots) -------------
+    # -- wire format (cross-process deltas, trace snapshots) -------------
     def to_dict(self) -> dict:
         """JSON-able state: bucket counts as a sparse ``[index, count]``
         list (most of the few hundred buckets are empty)."""
@@ -329,6 +326,8 @@ class Gauge:
 
 
 def _label_key(labels: dict) -> tuple:
+    if not labels:  # the common unlabelled counter: skip the sort
+        return ()
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -350,7 +349,7 @@ class MetricsRegistry:
     is ever taken after a thread's shard exists. Aggregation happens in
     :meth:`snapshot` / :meth:`merged_histogram`, which merge shard
     state without disturbing the writers (the worst race is missing a
-    concurrent increment, exactly like the tracer's counters).
+    concurrent increment).
     """
 
     def __init__(self):
@@ -415,8 +414,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """Merged JSON-able view of every metric: the one wire format
-        shared by the exporters, the JSONL series and the cross-process
-        worker deltas."""
+        shared by the exporters and the cross-process worker deltas."""
         merged = self._merged()
         out = {"counters": [], "gauges": [], "histograms": []}
         for key in sorted(merged):
@@ -669,7 +667,7 @@ class SLOEvaluator:
 
 
 # ----------------------------------------------------------------------
-# Exporters: OpenMetrics text, JSONL series, human-readable table
+# Exporters: OpenMetrics text, human-readable table
 # ----------------------------------------------------------------------
 def _om_name(name: str, namespace: str) -> str:
     safe = "".join(
@@ -748,24 +746,6 @@ def openmetrics_text(snapshot: dict, namespace: str = "repro") -> str:
         lines.append(f"{name}_count{_om_labels(labels)} {hist.count}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-def write_metrics_jsonl(
-    path: Union[str, Path], snapshot: dict, meta: Optional[dict] = None
-) -> Path:
-    """Append one snapshot as a single JSON line — repeated calls build
-    the time series the regression tooling diffs."""
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    record = {
-        "ts": time.time(),
-        "meta": dict(meta or {}),
-        "metrics": snapshot,
-    }
-    with path.open("a") as fh:
-        fh.write(json.dumps(record) + "\n")
-    return path
 
 
 def _fmt_labels(labels: dict) -> str:

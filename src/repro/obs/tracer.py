@@ -1,4 +1,4 @@
-"""In-kernel tracing and metrics: spans, per-thread buffers, counters.
+"""In-kernel tracing: spans, instant events, per-thread buffers.
 
 The paper's claims are *per-phase* (compute vs. reduction, Fig. 9/10)
 and *per-thread* (effective-region density and load balance, Fig. 4/5),
@@ -10,8 +10,8 @@ Design constraints, in order:
 
 * **Disabled cost is one attribute check.** The module-level active
   tracer defaults to :data:`NULL_TRACER` (``enabled=False``); its
-  ``span()`` returns a shared no-op context manager and ``count()`` /
-  ``event()`` return immediately. Kernels therefore instrument
+  ``span()`` returns a shared no-op context manager and ``event()``
+  returns immediately. Kernels therefore instrument
   unconditionally and pay ~an ``if`` when nobody is tracing.
 * **No locks on the hot path.** Every recording thread appends to its
   own buffer (reached through ``threading.local``); the tracer lock is
@@ -21,7 +21,9 @@ Design constraints, in order:
 
 Timing uses :func:`time.perf_counter_ns`. Span nesting is tracked per
 thread with a depth counter so exporters can rebuild the hierarchy
-without parent pointers.
+without parent pointers. Every number (counters, gauges, histograms)
+goes to the tracer's :class:`~repro.obs.metrics.MetricsRegistry`,
+``tracer.metrics``.
 """
 
 from __future__ import annotations
@@ -90,15 +92,14 @@ class SpanEvent:
 
 
 class _ThreadBuffer:
-    """Per-thread event list + counter dict; only its owner writes."""
+    """Per-thread event list; only its owner writes."""
 
-    __slots__ = ("ident", "thread_name", "events", "counters", "depth")
+    __slots__ = ("ident", "thread_name", "events", "depth")
 
     def __init__(self, ident: int, thread_name: str):
         self.ident = ident
         self.thread_name = thread_name
         self.events: list[SpanEvent] = []
-        self.counters: dict[str, float] = {}
         self.depth = 0
 
 
@@ -131,7 +132,7 @@ class _Span:
 
 
 class Tracer:
-    """Collects spans, instant events and counters across threads.
+    """Collects spans and instant events across threads.
 
     Parameters
     ----------
@@ -192,13 +193,6 @@ class Tracer:
                       attrs or None)
         )
 
-    def count(self, name: str, value: float = 1) -> None:
-        """Accumulate a named counter (per-thread, merged at export)."""
-        if not self.enabled:
-            return
-        counters = self._buffer().counters
-        counters[name] = counters.get(name, 0) + value
-
     def _buffer(self) -> _ThreadBuffer:
         buf = getattr(self._local, "buf", None)
         if buf is None:
@@ -224,16 +218,6 @@ class Tracer:
                 out.setdefault(ev.name, []).append(ev.dur_ns)
         return out
 
-    def counters(self) -> dict[str, float]:
-        """Counters merged across all threads."""
-        merged: dict[str, float] = {}
-        with self._lock:
-            buffers = list(self._buffers)
-        for buf in buffers:
-            for name, value in buf.counters.items():
-                merged[name] = merged.get(name, 0) + value
-        return merged
-
     def n_threads_seen(self) -> int:
         with self._lock:
             return len(self._buffers)
@@ -244,7 +228,6 @@ class Tracer:
         with self._lock:
             for buf in self._buffers:
                 buf.events.clear()
-                buf.counters.clear()
         self.metrics.clear()
         self.origin_ns = perf_counter_ns()
 
@@ -275,7 +258,7 @@ def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
 
         with tracing() as t:
             kernel(x)
-        print(t.counters())
+        print(t.metrics.snapshot())
     """
     t = tracer if tracer is not None else Tracer()
     prev = set_active(t)
@@ -294,14 +277,14 @@ _warning_counts: dict[str, int] = {}
 
 def warn(name: str, value: int = 1) -> None:
     """Bump a process-wide warning counter (e.g. a bound operator
-    garbage-collected without ``close()``). Unlike span/counter data
+    garbage-collected without ``close()``). Unlike span and metric data
     this is recorded even with tracing disabled — a leak is a leak —
     and additionally mirrored into the active tracer when enabled."""
     with _warn_lock:
         _warning_counts[name] = _warning_counts.get(name, 0) + value
     t = _active
     if t.enabled:
-        t.count(f"warn.{name}", value)
+        t.metrics.counter(f"warn.{name}").inc(value)
 
 
 def warning_counts() -> dict[str, int]:

@@ -93,7 +93,7 @@ def checkpointed_cg(
                 solver=resume_state.solver,
             )
             if tracer.enabled:
-                tracer.count("ooc.resumes")
+                tracer.metrics.counter("ooc.resumes").inc()
 
     checkpoint_cb = None
     if store is not None:

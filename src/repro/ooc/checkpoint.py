@@ -189,7 +189,7 @@ class CheckpointStore:
                 except OSError:  # pragma: no cover - benign race
                     pass
             if tracer.enabled:
-                tracer.count("ooc.checkpoints_written")
+                tracer.metrics.counter("ooc.checkpoints_written").inc()
                 tracer.metrics.counter("ooc.checkpoint_bytes").inc(
                     len(payload)
                 )
@@ -245,7 +245,7 @@ class CheckpointStore:
             except CheckpointError:
                 _obs_warn("ooc.checkpoint_fallback")
                 if tracer.enabled:
-                    tracer.count("ooc.checkpoint_fallbacks")
+                    tracer.metrics.counter("ooc.checkpoint_fallbacks").inc()
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -200,7 +200,7 @@ class ShardedOperator:
             entry.driver.close()
             self.resident_bytes -= entry.n_bytes
             if tracer.enabled:
-                tracer.count("ooc.shard_evictions")
+                tracer.metrics.counter("ooc.shard_evictions").inc()
 
     def _driver(self, index: int) -> ParallelSymmetricSpMV:
         tracer = _active_tracer()
@@ -208,7 +208,7 @@ class ShardedOperator:
         if entry is not None:
             self._resident.move_to_end(index)
             if tracer.enabled:
-                tracer.count("ooc.shard_hits")
+                tracer.metrics.counter("ooc.shard_hits").inc()
             return entry.driver
         info = self.store.shards[index]
         self._evict_until(info.n_bytes, pinned=None)
@@ -220,7 +220,7 @@ class ShardedOperator:
             self.peak_resident_bytes, self.resident_bytes
         )
         if tracer.enabled:
-            tracer.count("ooc.shards_loaded")
+            tracer.metrics.counter("ooc.shards_loaded").inc()
             tracer.metrics.gauge("ooc.resident_bytes").set(
                 self.resident_bytes
             )
@@ -261,7 +261,7 @@ class ShardedOperator:
                 # across cache states and repeat applies.
                 total += op(x)
         if tracer.enabled:
-            tracer.count("ooc.applies")
+            tracer.metrics.counter("ooc.applies").inc()
         return total
 
     def diagonal(self) -> np.ndarray:

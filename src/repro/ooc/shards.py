@@ -11,7 +11,7 @@ The out-of-core pipeline never materializes a full coordinate list.
    partitioner uses;
 2. **spill** — each chunk's entries are routed to per-shard append-only
    spill files (raw ``(row, col, value)`` records, counted into the
-   ``ooc.bytes_spilled`` tracer counter);
+   ``ooc.bytes_spilled`` counter);
 3. **finalize** — one shard at a time: sort, reject duplicate
    coordinates (the whole-file canonicality check of
    :func:`~repro.matrices.mmio.read_matrix_market`, reconstructed
@@ -288,7 +288,7 @@ def ingest_matrix_market(
             for fh in handles:
                 fh.close()
         if tracer.enabled:
-            tracer.count("ooc.bytes_spilled", spilled)
+            tracer.metrics.counter("ooc.bytes_spilled").inc(spilled)
 
         # Pass 3 — finalize one shard at a time.
         fp = StreamingCOOFingerprint((header.n_rows, header.n_cols))
@@ -331,7 +331,7 @@ def ingest_matrix_market(
             json.dumps(manifest, indent=1).encode(),
         )
         if tracer.enabled:
-            tracer.count("ooc.shards_written", n_shards)
+            tracer.metrics.counter("ooc.shards_written").inc(n_shards)
     return ShardStore(out)
 
 
@@ -479,7 +479,7 @@ class ShardStore:
                     last = exc
                     _obs_warn("ooc.shard_read_fault")
                     if tracer.enabled:
-                        tracer.count("ooc.retries")
+                        tracer.metrics.counter("ooc.retries").inc()
                     if self.retry_backoff_s > 0 and (
                         attempt < self.max_retries
                     ):
@@ -540,7 +540,7 @@ class ShardStore:
             _atomic_write(self.directory / info.file, payload)
             _obs_warn("ooc.shard_reingested")
             if tracer.enabled:
-                tracer.count("ooc.reingests")
+                tracer.metrics.counter("ooc.reingests").inc()
 
     def iter_shards(self) -> Iterator[ShardData]:
         """Verified shards in row order (each loaded on demand)."""

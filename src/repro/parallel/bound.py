@@ -55,22 +55,22 @@ def _record_traffic(tracer, matrix, k: Optional[int], reduction=None) -> int:
         stream = spmv_stream_bytes(size, matrix.n_rows, matrix.n_cols)
     else:
         stream = spmm_stream_bytes(size, matrix.n_rows, matrix.n_cols, k)
-    tracer.count("traffic.matrix_bytes", size)
-    tracer.count("traffic.stream_bytes", stream)
+    m = tracer.metrics
+    m.counter("traffic.matrix_bytes").inc(size)
+    m.counter("traffic.stream_bytes").inc(stream)
     if reduction is not None:
         fp = reduction.footprint(k or 1)
-        tracer.count("reduce.rows_touched", fp.reduction_reads)
-        tracer.count(
-            "reduce.rows_budget",
-            reduction.n_rows * max(0, reduction.n_threads - 1) * (k or 1),
+        m.counter("reduce.rows_touched").inc(fp.reduction_reads)
+        m.counter("reduce.rows_budget").inc(
+            reduction.n_rows * max(0, reduction.n_threads - 1) * (k or 1)
         )
         if getattr(reduction, "conflict_free", False):
             sched = reduction.schedule
-            tracer.count("coloring.classes", sched.n_colors)
+            m.counter("coloring.classes").inc(sched.n_colors)
             # One rendezvous per barrier-separated step; small classes
             # are merged into serial steps, so this can be below the
             # class count.
-            tracer.count("coloring.barrier_waits", sched.n_barriers)
+            m.counter("coloring.barrier_waits").inc(sched.n_barriers)
     return stream
 
 
@@ -480,16 +480,18 @@ class BoundOperator:
         self, tracer, x: np.ndarray, out: Optional[np.ndarray]
     ) -> np.ndarray:
         """The same application wrapped in phase spans ("spmv.mult" /
-        "spmv.reduce") and counters (``bound.calls`` is the one
-        per-apply counter). Additionally streams per-application
-        latency and modeled traffic into the ``op.apply_ns`` /
-        ``op.traffic_bytes`` histograms, keyed by (format, reduction,
-        backend)."""
+        "spmv.reduce") and traffic counters. Additionally streams
+        per-application latency and modeled traffic into the
+        ``op.apply_ns`` / ``op.traffic_bytes`` histograms, keyed by
+        (format, reduction, backend); the ``op.apply_ns`` count is the
+        number of traced applies."""
         t0 = perf_counter_ns()
         with tracer.span("bound.apply", k=self.k):
             with tracer.span("bound.zero"):
                 self._zero_workspaces()
-            tracer.count("bound.zeroed_elements", self._zero_volume)
+            tracer.metrics.counter("bound.zeroed_elements").inc(
+                self._zero_volume
+            )
             self._x = self._stage_input(x)
             try:
                 with tracer.span("spmv.mult"):
@@ -504,7 +506,6 @@ class BoundOperator:
                 raise
             finally:
                 self._x = None
-            tracer.count("bound.calls")
             stream_bytes = _record_traffic(
                 tracer, self.driver.matrix, self.k,
                 getattr(self.driver, "reduction", None),

@@ -143,7 +143,7 @@ class ReductionMethod(abc.ABC):
 
     def zeroed_elements(self, k: Optional[int] = None) -> int:
         """Local-buffer elements :meth:`zero_locals` clears per call —
-        the workspace-zero volume a bound operator's tracer counter
+        the workspace-zero volume the ``bound.zeroed_elements`` counter
         reports. Default matches the full-length clear (naive)."""
         per_buf = self.n_rows * (k or 1)
         return sum(1 for s, _ in self.partitions if self._has_local(s)) \

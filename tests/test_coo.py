@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.formats import COOMatrix
+from repro.formats.validate import BoundsError, DTypeError
 
 
 def test_from_dense_roundtrip(sym_dense_small):
@@ -46,6 +47,37 @@ def test_out_of_bounds_rejected():
         COOMatrix((2, 2), [0, 2], [0, 0], [1.0, 1.0])
     with pytest.raises(ValueError):
         COOMatrix((2, 2), [0, -1], [0, 0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_wide_index_rejected_not_wrapped(dtype):
+    # 2**32 + 3 narrowed to int32 would wrap to a valid row 3.
+    wide = np.array([2**32 + 3], dtype=dtype)
+    with pytest.raises(BoundsError):
+        COOMatrix((10, 10), wide, [0], [1.0])
+    with pytest.raises(BoundsError):
+        COOMatrix((10, 10), [0], wide, [1.0])
+
+
+@pytest.mark.parametrize("index", [[3.7], [3.0], [True]])
+def test_non_integer_index_rejected(index):
+    with pytest.raises(DTypeError):
+        COOMatrix((10, 10), index, [0], [1.0])
+    with pytest.raises(DTypeError):
+        COOMatrix((10, 10), [0], index, [1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.uint64])
+def test_any_integer_index_dtype_accepted(dtype):
+    idx = np.array([3, 1], dtype=dtype)
+    coo = COOMatrix((10, 10), idx, idx, [1.0, 2.0])
+    assert coo.rows.dtype == np.int32
+    assert np.array_equal(coo.rows, [1, 3])
+
+
+def test_empty_index_arrays_of_any_dtype_accepted():
+    empty = COOMatrix((4, 4), np.zeros(0), np.zeros(0, dtype=bool), [])
+    assert empty.nnz == 0 and empty.rows.dtype == np.int32
 
 
 def test_length_mismatch_rejected():

@@ -32,7 +32,6 @@ from repro.obs import (
     MetricsRegistry,
     metrics_report,
     openmetrics_text,
-    write_metrics_jsonl,
 )
 
 # Strictly positive magnitudes inside the default histogram range.
@@ -384,14 +383,3 @@ def test_metrics_report_renders_everything():
     assert "(no metrics recorded)" in metrics_report(
         MetricsRegistry().snapshot()
     )
-
-
-def test_write_metrics_jsonl_appends(tmp_path):
-    path = tmp_path / "series" / "metrics.jsonl"
-    write_metrics_jsonl(path, _sample_snapshot(), meta={"run": 1})
-    write_metrics_jsonl(path, _sample_snapshot(), meta={"run": 2})
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    records = [json.loads(ln) for ln in lines]
-    assert [r["meta"]["run"] for r in records] == [1, 2]
-    assert records[0]["metrics"]["histograms"][0]["summary"]["count"] == 4

@@ -4,10 +4,10 @@ The tentpole guarantee of the metrics subsystem: a ``processes`` run
 reports the *same* metric names and the *same* (bit-identical) kernel
 counter totals as a serial run. Counters are recorded deep inside the
 format kernels — under the process backend those execute in worker
-processes, whose tracer deltas come back in each batch reply and are
-folded into the parent; losing that fold silently drops every
-worker-side ``tracer.count`` (the historical failure mode this file
-pins down).
+processes, whose registry snapshots come back in each batch reply and
+are merged into the parent; losing that merge silently drops every
+worker-side counter (the historical failure mode this file pins
+down).
 
 Also covered here: the per-layer recorders (executor batch/task
 latency, bound-operator apply/traffic, solver per-iteration metrics)
@@ -74,8 +74,10 @@ def test_metric_names_and_counters_identical_across_backends(
     }
     serial_tracer, serial_snap = runs["serial"]
     serial_names = serial_tracer.metrics.metric_names()
-    assert sorted(EXPECTED_HISTOGRAMS) == serial_names
-    serial_counters = serial_tracer.counters()
+    assert sorted(EXPECTED_HISTOGRAMS) == sorted(
+        {e["name"] for e in serial_snap["histograms"]}
+    )
+    serial_counters = serial_snap["counters"]
     assert serial_counters, "kernel counters must be recorded"
     for backend, (tracer, snap) in runs.items():
         if backend == "serial":
@@ -84,7 +86,7 @@ def test_metric_names_and_counters_identical_across_backends(
         # Kernel counter totals are bit-identical: same work, same
         # counts, whether recorded inline, from pool threads, or folded
         # back from worker-process deltas.
-        assert tracer.counters() == serial_counters, backend
+        assert snap["counters"] == serial_counters, backend
         # The modeled traffic stream is deterministic too.
         for entry, ref in zip(
             snap["histograms"], serial_snap["histograms"]
@@ -96,13 +98,15 @@ def test_metric_names_and_counters_identical_across_backends(
 
 def test_worker_counter_deltas_fold_into_parent():
     """Under the process backend the kernels run in worker processes;
-    their ``tracer.count`` calls must still land in the parent tracer
-    (satellite: the historical vanishing-counters bug)."""
-    serial_tracer, _ = _instrumented_run("banded", "sss", "indexed",
-                                         "serial")
-    proc_tracer, _ = _instrumented_run("banded", "sss", "indexed",
-                                       "processes")
-    assert proc_tracer.counters() == serial_tracer.counters()
+    their counters must still land in the parent's registry (the
+    historical vanishing-counters bug)."""
+    _, serial_snap = _instrumented_run("banded", "sss", "indexed",
+                                       "serial")
+    _, proc_snap = _instrumented_run("banded", "sss", "indexed",
+                                     "processes")
+    assert proc_snap["counters"] == serial_snap["counters"]
+    names = {e["name"] for e in proc_snap["counters"]}
+    assert {"traffic.matrix_bytes", "reduce.rows_touched"} <= names
 
 
 def test_histogram_labels_carry_backend_and_reduction():
@@ -138,9 +142,6 @@ def test_solver_iteration_metrics_cg():
         res = conjugate_gradient(lambda x: a @ x, b, tol=1e-10)
     assert res.converged
     m = tracer.metrics
-    assert m.counter_value("solver.iterations", solver="cg") == (
-        res.iterations
-    )
     hist = m.merged_histogram("solver.iter_ns", solver="cg")
     assert hist is not None and hist.count == res.iterations
     residual = m.gauge_value("solver.residual", solver="cg")
@@ -160,12 +161,9 @@ def test_solver_iteration_metrics_pcg_and_block_cg():
         )
     assert res_p.converged and res_b.all_converged
     m = tracer.metrics
-    assert m.counter_value("solver.iterations", solver="pcg") == (
-        res_p.iterations
-    )
-    assert m.counter_value("solver.iterations", solver="block_cg") == (
-        res_b.iterations
-    )
+    assert m.merged_histogram(
+        "solver.iter_ns", solver="pcg"
+    ).count == res_p.iterations
     assert m.merged_histogram(
         "solver.iter_ns", solver="block_cg"
     ).count == res_b.iterations
@@ -183,4 +181,4 @@ def test_disabled_tracer_records_nothing():
     finally:
         op.close()
     assert tracer.metrics.metric_names() == []
-    assert tracer.counters() == {}
+    assert tracer.events() == []

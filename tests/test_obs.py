@@ -1,7 +1,8 @@
 """Unit tests for the observability layer itself (``repro.obs``):
 tracer semantics, disabled-mode no-ops, thread safety of the
 per-thread buffers, statistics helpers, warning counters and the
-exporter round-trip."""
+exporter round-trip. Counters live in the tracer's metrics registry
+(``t.metrics``); the tracer itself records spans and events only."""
 
 import gc
 import json
@@ -20,6 +21,7 @@ from repro.obs import (
     active,
     chrome_events,
     load_trace,
+    metrics_report,
     percentile,
     reset_warning_counts,
     set_active,
@@ -58,10 +60,10 @@ def test_disabled_span_is_shared_noop_singleton():
 
 def test_disabled_count_and_event_record_nothing():
     t = Tracer(enabled=False)
-    t.count("c", 5)
+    assert not hasattr(t, "count") and not hasattr(t, "counters")
     t.event("e", detail=1)
     assert t.events() == []
-    assert t.counters() == {}
+    assert t.metrics.snapshot()["counters"] == []
     assert t.n_threads_seen() == 0
 
 
@@ -97,21 +99,22 @@ def test_span_nesting_depths():
 def test_instant_events_and_counters():
     t = Tracer()
     t.event("iter", residual=0.5)
-    t.count("hits")
-    t.count("hits", 2)
-    t.count("bytes", 100.0)
+    t.metrics.counter("hits").inc()
+    t.metrics.counter("hits").inc(2)
+    t.metrics.counter("bytes").inc(100.0)
     [(_, ev)] = [(b, e) for b, e in t.events() if e.is_instant]
     assert ev.name == "iter" and ev.attrs == {"residual": 0.5}
-    assert t.counters() == {"hits": 3, "bytes": 100.0}
+    assert t.metrics.counter_value("hits") == 3
+    assert t.metrics.counter_value("bytes") == 100.0
 
 
 def test_clear_drops_data_but_keeps_recording():
     t = Tracer()
     with t.span("a"):
         pass
-    t.count("c")
+    t.metrics.counter("c").inc()
     t.clear()
-    assert t.events() == [] and t.counters() == {}
+    assert t.events() == [] and t.metrics.snapshot()["counters"] == []
     with t.span("b"):
         pass
     assert [ev.name for _, ev in t.events()] == ["b"]
@@ -137,7 +140,7 @@ def test_many_threads_record_without_loss():
     def work(i):
         for j in range(n_spans):
             with t.span("w", thread=i):
-                t.count("spans")
+                t.metrics.counter("spans").inc()
 
     threads = [
         threading.Thread(target=work, args=(i,)) for i in range(n_threads)
@@ -148,7 +151,7 @@ def test_many_threads_record_without_loss():
         th.join()
     assert t.n_threads_seen() == n_threads
     assert len(t.events()) == n_threads * n_spans
-    assert t.counters() == {"spans": n_threads * n_spans}
+    assert t.metrics.counter_value("spans") == n_threads * n_spans
     # One buffer per worker, each holding exactly its own spans (the
     # OS may reuse thread idents, so group by buffer, not by ident).
     per_buf = {}
@@ -202,7 +205,9 @@ def test_warn_mirrors_into_active_tracer():
     reset_warning_counts()
     with tracing() as t:
         warn("leak")
-    assert t.counters() == {"warn.leak": 1}
+    assert t.metrics.snapshot()["counters"] == [
+        {"name": "warn.leak", "labels": {}, "value": 1.0}
+    ]
     assert warning_counts() == {"leak": 1}
     reset_warning_counts()
 
@@ -272,7 +277,7 @@ def _recorded_tracer() -> Tracer:
         with t.span("sub"):
             pass
         t.event("tick", i=1)
-    t.count("bytes", 64)
+    t.metrics.counter("bytes").inc(64)
     return t
 
 
@@ -294,7 +299,10 @@ def test_summarize_tracer():
     s = summarize(_recorded_tracer())
     assert set(s["spans"]) == {"phase", "sub"}
     assert s["spans"]["phase"]["count"] == 1
-    assert s["counters"] == {"bytes": 64}
+    assert "counters" not in s
+    assert s["metrics"]["counters"] == [
+        {"name": "bytes", "labels": {}, "value": 64.0}
+    ]
     assert s["n_instant_events"] == 1
     assert s["n_threads"] == 1
 
@@ -322,8 +330,8 @@ def test_validate_catches_malformed_documents():
     doc2["summary"]["spans"]["phase"].pop("p95_ms")
     assert any("p95_ms" in p for p in validate_trace(doc2))
     doc3 = trace_document(_recorded_tracer())
-    doc3["summary"]["counters"]["bytes"] = "lots"
-    assert any("counters" in p for p in validate_trace(doc3))
+    doc3["schema"] = "repro-trace-old"
+    assert any("schema" in p for p in validate_trace(doc3))
 
 
 def test_text_report_from_tracer_and_document():
@@ -333,6 +341,8 @@ def test_text_report_from_tracer_and_document():
         assert "phase" in report and "sub" in report
         assert "bytes" in report
         assert "p50" in report
+        # One renderer: the metrics section is metrics_report's output.
+        assert metrics_report(t.metrics.snapshot()) in report
 
 
 def test_obs_package_reexports():
@@ -343,7 +353,7 @@ def test_obs_package_reexports():
 
 
 # ---------------------------------------------------------------------
-# Schema v2: counter tracks and the embedded metrics snapshot
+# Counter tracks and the embedded metrics snapshot
 # ---------------------------------------------------------------------
 def test_statistics_reject_nan():
     with pytest.raises(ValueError, match="NaN"):
@@ -369,24 +379,25 @@ def test_chrome_counter_tracks_ramp():
     assert by_ts[-1]["ts"] == pytest.approx(last_ts)
 
 
-def test_trace_v2_round_trips_metrics_snapshot(tmp_path):
+def test_trace_round_trips_metrics_snapshot(tmp_path):
     t = _recorded_tracer()
     t.metrics.histogram("op.apply_ns", backend="serial").record_many(
         [100.0, 5000.0]
     )
     t.metrics.counter("applies").inc(2)
-    path = write_trace(tmp_path / "v2.json", t)
+    path = write_trace(tmp_path / "trace.json", t)
     doc = load_trace(path)
     assert validate_trace(doc) == []
-    assert doc["schema"] == "repro-trace-v2"
+    assert doc["schema"] == TRACE_SCHEMA == "repro-trace-v3"
     metrics = doc["summary"]["metrics"]
     hist = metrics["histograms"][0]
     assert hist["name"] == "op.apply_ns"
     assert hist["labels"] == {"backend": "serial"}
     assert hist["summary"]["count"] == 2
-    assert metrics["counters"][0] == {
-        "name": "applies", "labels": {}, "value": 2.0,
-    }
+    assert metrics["counters"] == [
+        {"name": "applies", "labels": {}, "value": 2.0},
+        {"name": "bytes", "labels": {}, "value": 64.0},
+    ]
     # The bucket data reconstructs the histogram exactly.
     from repro.obs import LogHistogram
 
@@ -394,7 +405,7 @@ def test_trace_v2_round_trips_metrics_snapshot(tmp_path):
     assert back.count == 2 and back.max_seen == 5000.0
 
 
-def test_validate_v2_requires_metrics_section():
+def test_validate_requires_metrics_section():
     doc = trace_document(_recorded_tracer())
     del doc["summary"]["metrics"]
     assert any("summary.metrics" in p for p in validate_trace(doc))
@@ -415,13 +426,21 @@ def test_validate_v2_requires_metrics_section():
     assert any("numeric args" in p for p in validate_trace(doc4))
 
 
-def test_validate_still_reads_v1_documents():
-    """v1 documents (no counter tracks, no summary.metrics) stay
-    readable — the v2 requirements only bind v2 documents."""
+def test_validate_rejects_non_numeric_counter_value():
     doc = trace_document(_recorded_tracer())
-    doc["schema"] = "repro-trace-v1"
-    doc["traceEvents"] = [
-        e for e in doc["traceEvents"] if e["ph"] != "C"
-    ]
-    del doc["summary"]["metrics"]
-    assert validate_trace(doc) == []
+    doc["summary"]["metrics"]["counters"][0]["value"] = "lots"
+    assert any(
+        "counters[0] needs a numeric value" in p
+        for p in validate_trace(doc)
+    )
+
+
+def test_labelled_counter_track_named_with_labels():
+    t = _recorded_tracer()
+    t.metrics.counter("serve.requests", kind="cg").inc(3)
+    tracks = {
+        e["name"]: e["args"]["value"]
+        for e in chrome_events(t) if e["ph"] == "C" and e["ts"] > 0
+    }
+    assert tracks == {"bytes": 64.0, "serve.requests{kind=cg}": 3.0}
+    assert validate_trace(trace_document(t)) == []

@@ -306,10 +306,10 @@ class TestShardedOperator:
             op(np.ones(store64.n_cols))
             op(np.ones(store64.n_cols))
         assert op.peak_resident_bytes <= budget
-        counters = tracer.counters()
-        assert counters["ooc.shards_loaded"] > store64.n_shards
-        assert counters["ooc.shard_evictions"] > 0
-        assert counters["ooc.applies"] == 2
+        c = tracer.metrics.counter_value
+        assert c("ooc.shards_loaded") > store64.n_shards
+        assert c("ooc.shard_evictions") > 0
+        assert c("ooc.applies") == 2
 
     def test_unbounded_caches_all_shards(self, store64):
         tracer = Tracer()
@@ -317,9 +317,9 @@ class TestShardedOperator:
             op = ShardedOperator(store64)
             op(np.ones(store64.n_cols))
             op(np.ones(store64.n_cols))
-        counters = tracer.counters()
-        assert counters["ooc.shards_loaded"] == store64.n_shards
-        assert counters["ooc.shard_hits"] == store64.n_shards
+        c = tracer.metrics.counter_value
+        assert c("ooc.shards_loaded") == store64.n_shards
+        assert c("ooc.shard_hits") == store64.n_shards
 
     def test_impossible_budget_rejected(self, store64):
         largest = max(i.n_bytes for i in store64.shards)

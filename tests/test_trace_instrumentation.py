@@ -166,8 +166,9 @@ def test_cg_span_counts_match_result():
     assert iter_events[-1].attrs["residual"] == pytest.approx(
         res.residual_norm
     )
-    # Bound path counters: one workspace zeroing per application.
-    assert t.counters()["bound.calls"] == res.n_spmv
+    # One traced bound apply (one op.apply_ns sample) per application.
+    applies = t.metrics.merged_matching("op.apply_ns")
+    assert applies is not None and applies.count == res.n_spmv
 
 
 def test_per_call_driver_records_spmv_counters():
@@ -177,11 +178,11 @@ def test_per_call_driver_records_spmv_counters():
     with tracing() as t:
         driver(x)
         driver(x)
-    c = t.counters()
-    assert c["bound.calls"] == 2
-    assert c["traffic.matrix_bytes"] == 2 * matrix.size_bytes()
-    assert c["traffic.stream_bytes"] > c["traffic.matrix_bytes"]
-    assert 0 < c["reduce.rows_touched"] <= c["reduce.rows_budget"]
+    c = t.metrics.counter_value
+    assert t.metrics.merged_matching("op.apply_ns").count == 2
+    assert c("traffic.matrix_bytes") == 2 * matrix.size_bytes()
+    assert c("traffic.stream_bytes") > c("traffic.matrix_bytes")
+    assert 0 < c("reduce.rows_touched") <= c("reduce.rows_budget")
 
 
 # ---------------------------------------------------------------------
