@@ -1,7 +1,8 @@
-"""Wall-clock sanity benchmarks of the actual Python kernels.
+"""Wall-clock sanity benchmarks of the actual kernels.
 
 The evaluation figures use the machine model (see DESIGN.md); this file
-keeps the library honest by timing the real numpy kernels on the host:
+keeps the library honest by timing the real kernels on the host
+(compiled sparsetools routines for CSR/SSS, numpy for CSX/CSX-Sym):
 serial SpM×V per format, the two-phase parallel symmetric kernel, the
 three reduction phases in isolation, and a CG solve. Relative costs
 here are host-specific and not the paper's — correctness of execution

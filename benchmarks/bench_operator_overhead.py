@@ -13,8 +13,9 @@ regimes:
   pattern),
 * ``unbound``  — one driver reused through ``driver(x)``: the driver's
   cached bound operator plus one copy into a fresh output array,
-* ``bound``    — ``driver.bind()``: precompiled tasks, persistent
-  zeroed-in-place workspaces, window-restricted scatters.
+* ``bound``    — ``driver.bind()``: precompiled tasks with their
+  partition kernels (the SSS local/direct split), persistent
+  zeroed-in-place workspaces.
 
 It reports per-iteration wall-clock (p50 with the p95 tail, over the
 suite-wide warmup policy of ``common.timed_repeat``) and the

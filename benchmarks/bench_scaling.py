@@ -1,9 +1,10 @@
 """Cross-backend scaling benchmark: serial vs threads vs processes.
 
-The paper's kernels are memory-bound C; this reproduction's kernels
-are NumPy slices glued together with Python control flow, so the GIL
-caps the ``threads`` backend at roughly serial throughput no matter
-how many cores the host has. The shared-memory ``processes`` backend
+The paper's kernels are memory-bound C. This reproduction's CSR/SSS
+kernels run scipy's compiled sparsetools loops, which release the GIL;
+the other formats are NumPy slices glued together with Python control
+flow, where the GIL caps the ``threads`` backend at roughly serial
+throughput no matter how many cores the host has. The shared-memory ``processes`` backend
 exists to lift that cap: workers attach the bound operator's arenas
 once at pool spin-up and per-call messages carry only task
 descriptors, so the per-application cost is the kernel alone — in

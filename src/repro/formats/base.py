@@ -102,7 +102,7 @@ class RowScatter:
       multiplication phase;
     * the flattened 2-D bincount index per right-hand-side count ``k``
       (building it costs more than the bincount itself), which is where
-      the hot formats (SSS, CSX, BCSR) recover the multi-RHS
+      the numpy formats (CSX, BCSR, COO) recover the multi-RHS
       amortization. The per-``k`` cache is bounded by
       :data:`FLAT_CACHE_MAX`.
 
@@ -412,11 +412,21 @@ class SymmetricFormat(SparseFormat):
                 X[:, j], Y_direct[:, j], Y_local[:, j], row_start, row_end
             )
 
-    def precompile_partition(
+    def partition_kernel(
         self, row_start: int, row_end: int, k: Optional[int] = None
-    ) -> None:
-        """Eagerly build the partition kernel's lazy caches (local vs
-        direct split positions, window-restricted scatters, flattened
-        ``k``-RHS indices) for one ``[row_start, row_end)`` partition,
-        so a bound operator pays compilation at bind time instead of on
-        the first timed iteration. Default: nothing to do."""
+    ):
+        """The partition's multiplication phase as one callable
+        ``kernel(x, y_direct, y_local)`` with :meth:`spmv_partition`
+        semantics (``k=None``) or :meth:`spmm_partition` semantics
+        (``(n, k)`` operands), with whatever it precomputes per
+        partition built now, so a bound operator pays that at bind time
+        instead of on its first timed iteration. The caller owns the
+        kernel and whatever it holds. The kernel calls the partition
+        method positionally, so a wrapper installed on that method
+        before binding sees every call. Default: nothing precomputed."""
+        method = self.spmv_partition if k is None else self.spmm_partition
+
+        def kernel(x, y_direct, y_local) -> None:
+            method(x, y_direct, y_local, row_start, row_end)
+
+        return kernel

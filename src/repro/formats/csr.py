@@ -3,10 +3,10 @@
 Size follows eq. (1): ``S_CSR = 12*NNZ + 4*(N+1)`` with 8-byte values and
 4-byte ``colind`` / ``rowptr`` entries.
 
-The SpM×V kernel is expressed with ``np.add.reduceat`` so a whole
-partition is computed in a handful of vectorized passes — the library's
-stand-in for the tight C loop of the original implementation (see
-DESIGN.md, substitution table).
+The SpM×V kernels run scipy's compiled ``csr_matvec(s)`` (see
+:mod:`repro.formats.compiled` and DESIGN.md, substitution table): the
+tight C loop of the original implementation, with each row summed
+independently in stored order.
 """
 
 from __future__ import annotations
@@ -16,49 +16,15 @@ from typing import Optional
 import numpy as np
 
 from .base import INDEX_BYTES, VALUE_BYTES, SparseFormat
+from .compiled import csr_matvec
 from .coo import COOMatrix
+from .validate import (
+    ShapeError,
+    check_row_range,
+    narrow_compressed_indices,
+)
 
-__all__ = ["CSRMatrix", "csr_row_segment_sums"]
-
-
-def csr_row_segment_sums(
-    products: np.ndarray, rowptr: np.ndarray, row_start: int, row_end: int
-) -> np.ndarray:
-    """Sum ``products`` (ordered by row) into one value per row.
-
-    ``products[rowptr[r]-rowptr[row_start] : rowptr[r+1]-rowptr[row_start]]``
-    holds the per-element products of row ``r``. Empty rows yield 0.
-
-    ``products`` may also be 2-D, shape ``(nnz_local, k)`` — one column
-    per right-hand side — in which case the result is ``(n_local, k)``
-    (the SpM×M case: the segmented reduction runs along axis 0 for all
-    columns in one pass).
-
-    The reduction must be **row-local**: an earlier implementation
-    used a global prefix-sum difference (``prefix[hi] - prefix[lo]``),
-    whose per-row rounding error scales with the running sum of every
-    *preceding* row — a row of tiny values after a row of huge ones
-    came back with its entire value wiped out (found by
-    ``repro.fuzz``).  ``np.add.reduceat`` sums each row's products
-    independently; empty rows (where ``reduceat`` would misbehave,
-    returning ``products[lo]``) are skipped and left at zero.
-    """
-    n_local = row_end - row_start
-    tail = products.shape[1:]
-    out = np.zeros((max(n_local, 0),) + tail, dtype=np.float64)
-    if n_local <= 0 or products.shape[0] == 0:
-        return out
-    base = rowptr[row_start]
-    lo = (rowptr[row_start:row_end] - base).astype(np.intp)
-    hi = (rowptr[row_start + 1 : row_end + 1] - base).astype(np.intp)
-    nonempty = np.flatnonzero(hi > lo)
-    if nonempty.size == 0:
-        return out
-    # Consecutive non-empty starts are strictly increasing (empty rows
-    # between them share the same offset), so every reduceat segment is
-    # exactly one stored row — no empty-segment misfire possible.
-    out[nonempty] = np.add.reduceat(products, lo[nonempty], axis=0)
-    return out
+__all__ = ["CSRMatrix"]
 
 
 class CSRMatrix(SparseFormat):
@@ -67,9 +33,12 @@ class CSRMatrix(SparseFormat):
     Parameters
     ----------
     shape : (int, int)
-    rowptr : int32 array of length ``n_rows + 1``
-    colind : int32 array of length ``nnz`` (column-sorted within rows)
+    rowptr : integer array of length ``n_rows + 1``
+    colind : integer array of length ``nnz`` (column-sorted within rows)
     values : float64 array of length ``nnz``
+
+    The index arrays are checked on the caller's dtype and values
+    before they are narrowed to int32 storage.
     """
 
     format_name = "csr"
@@ -82,23 +51,12 @@ class CSRMatrix(SparseFormat):
         values: np.ndarray,
     ):
         super().__init__(shape)
-        rowptr = np.asarray(rowptr, dtype=np.int32)
-        colind = np.asarray(colind, dtype=np.int32)
+        rowptr, colind = narrow_compressed_indices(
+            rowptr, colind, self.n_rows, self.n_cols
+        )
         values = np.asarray(values, dtype=np.float64)
-        if rowptr.shape != (self.n_rows + 1,):
-            raise ValueError(
-                f"rowptr length {rowptr.size} != n_rows+1 = {self.n_rows + 1}"
-            )
-        if rowptr[0] != 0 or rowptr[-1] != colind.size:
-            raise ValueError("rowptr must start at 0 and end at nnz")
-        if np.any(np.diff(rowptr) < 0):
-            raise ValueError("rowptr must be non-decreasing")
         if colind.shape != values.shape:
-            raise ValueError("colind and values length mismatch")
-        if colind.size and (
-            colind.min() < 0 or colind.max() >= self.n_cols
-        ):
-            raise ValueError("column index out of bounds")
+            raise ShapeError("colind and values length mismatch")
         self.rowptr = rowptr
         self.colind = colind
         self.values = values
@@ -138,8 +96,7 @@ class CSRMatrix(SparseFormat):
 
     def spmv(self, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
         x, y = self._check_spmv_args(x, y)
-        products = self.values * x[self.colind]
-        y[:] = csr_row_segment_sums(products, self.rowptr, 0, self.n_rows)
+        csr_matvec(self.rowptr, self.colind, self.values, x, y)
         return y
 
     def spmv_rows(
@@ -148,18 +105,24 @@ class CSRMatrix(SparseFormat):
         """Partition kernel: compute rows ``[row_start, row_end)`` into
         ``y[row_start:row_end]`` (the multithreaded CSR building block —
         rows are independent, no reduction needed)."""
-        lo, hi = self.rowptr[row_start], self.rowptr[row_end]
-        products = self.values[lo:hi] * x[self.colind[lo:hi]]
-        y[row_start:row_end] = csr_row_segment_sums(
-            products, self.rowptr, row_start, row_end
+        check_row_range(row_start, row_end, self.n_rows)
+        if x.shape[0] != self.n_cols:
+            raise ShapeError(
+                f"x has {x.shape[0]} rows, expected {self.n_cols}"
+            )
+        y_rows = y[row_start:row_end]
+        y_rows[...] = 0.0
+        csr_matvec(
+            self.rowptr[row_start: row_end + 1], self.colind, self.values,
+            x, y_rows,
         )
 
     def spmm(self, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
         """Multi-RHS product: one traversal of (rowptr, colind, values)
-        computes all ``k`` columns — matrix traffic is paid once."""
+        computes all ``k`` columns — matrix traffic is paid once.
+        Column ``j`` is bit-identical to ``spmv`` of column ``j``."""
         X, Y = self._check_spmm_args(X, Y)
-        products = self.values[:, None] * X[self.colind]
-        Y[:] = csr_row_segment_sums(products, self.rowptr, 0, self.n_rows)
+        csr_matvec(self.rowptr, self.colind, self.values, X, Y)
         return Y
 
     def spmm_rows(
@@ -167,11 +130,7 @@ class CSRMatrix(SparseFormat):
     ) -> None:
         """Multi-RHS partition kernel (``(n, k)`` analogue of
         :meth:`spmv_rows`)."""
-        lo, hi = self.rowptr[row_start], self.rowptr[row_end]
-        products = self.values[lo:hi, None] * X[self.colind[lo:hi]]
-        Y[row_start:row_end] = csr_row_segment_sums(
-            products, self.rowptr, row_start, row_end
-        )
+        self.spmv_rows(X, Y, row_start, row_end)
 
     def to_coo(self) -> COOMatrix:
         rows = np.repeat(

@@ -331,13 +331,13 @@ class CSXSymMatrix(SymmetricFormat):
         self._lower_triple_cache = cached
         return cached
 
-    def precompile_partition(
+    def partition_kernel(
         self, row_start: int, row_end: int, k: Optional[int] = None
-    ) -> None:
-        """Eagerly compile the partition plan's scatters and its
+    ):
+        """The partition's kernel, with its compiled plan's scatters and
         transposed split at the partition boundary (plus ``k``-RHS flat
-        indices), so a bound operator's first iteration is not a
-        compilation run."""
+        indices) built now, so a bound operator's first iteration is
+        not a compilation run."""
         try:
             i = self._part_index[(row_start, row_end)]
         except KeyError:
@@ -346,6 +346,7 @@ class CSXSymMatrix(SymmetricFormat):
                 f"available: {self._partition_bounds}"
             ) from None
         self.partitions[i].plan.precompile(k=k, boundary=row_start)
+        return super().partition_kernel(row_start, row_end, k)
 
     def clear_caches(self) -> None:
         """Release every partition plan's lazy scatter compilations."""

@@ -14,29 +14,23 @@ behaviour the three reduction methods of Section III build upon.
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 import numpy as np
 
-from ..obs.tracer import active as _active_tracer
-from .base import (
-    INDEX_BYTES,
-    VALUE_BYTES,
-    RowScatter,
-    SymmetricFormat,
-    bounded_cache_insert,
-)
+from .base import INDEX_BYTES, VALUE_BYTES, SymmetricFormat
+from .compiled import csc_matvec, csr_matvec
 from .coo import COOMatrix
-from .csr import csr_row_segment_sums
-from .validate import SymmetryError
+from .validate import (
+    PartitionError,
+    ShapeError,
+    SymmetryError,
+    TriangleConventionError,
+    check_row_range,
+    narrow_compressed_indices,
+)
 
-__all__ = ["SSSMatrix", "PART_SPLIT_CACHE_MAX"]
-
-#: Cap on cached per-partition local/direct scatter splits (keyed by
-#: partition bounds; oldest evicted beyond this, so repartitioning a
-#: long-lived matrix cannot grow the cache without bound).
-PART_SPLIT_CACHE_MAX = 256
+__all__ = ["SSSMatrix"]
 
 
 class SSSMatrix(SymmetricFormat):
@@ -48,6 +42,9 @@ class SSSMatrix(SymmetricFormat):
     dvalues : float64 array of length ``N`` (dense main diagonal; zeros
         allowed for structurally missing diagonal entries).
     rowptr, colind, values : CSR triple of the strictly lower triangle.
+        The index arrays are checked on the caller's dtype and values
+        (integer, ``0 <= colind[jj] < row``) before they are narrowed
+        to int32 storage.
     """
 
     format_name = "sss"
@@ -62,49 +59,22 @@ class SSSMatrix(SymmetricFormat):
     ):
         super().__init__(shape)
         dvalues = np.asarray(dvalues, dtype=np.float64)
-        rowptr = np.asarray(rowptr, dtype=np.int32)
-        colind = np.asarray(colind, dtype=np.int32)
         values = np.asarray(values, dtype=np.float64)
         if dvalues.shape != (self.n_rows,):
-            raise ValueError("dvalues must have length N")
-        if rowptr.shape != (self.n_rows + 1,):
-            raise ValueError("rowptr must have length N+1")
-        if rowptr[0] != 0 or rowptr[-1] != colind.size:
-            raise ValueError("rowptr must start at 0 and end at nnz(lower)")
-        if np.any(np.diff(rowptr) < 0):
-            raise ValueError("rowptr must be non-decreasing")
+            raise ShapeError("dvalues must have length N")
+        rowptr, colind = narrow_compressed_indices(
+            rowptr, colind, self.n_rows, self.n_cols
+        )
         if colind.shape != values.shape:
-            raise ValueError("colind/values length mismatch")
+            raise ShapeError("colind/values length mismatch")
+        if colind.size and np.any(colind >= _row_of_entry(rowptr)):
+            raise TriangleConventionError(
+                "SSS off-diagonal entries must be strictly lower"
+            )
         self.dvalues = dvalues
         self.rowptr = rowptr
         self.colind = colind
         self.values = values
-        # Row index of each stored (strictly lower) entry; an execution
-        # aid for the vectorized scatter, not counted in size_bytes().
-        self._rows = np.repeat(
-            np.arange(self.n_rows, dtype=np.int32), np.diff(rowptr)
-        )
-        if colind.size and np.any(colind >= self._rows):
-            raise ValueError("SSS off-diagonal entries must be strictly lower")
-        # Lazy spmm scatter compilations (whole matrix / per partition).
-        # Mutations (miss-path build, bounded eviction, clear_caches)
-        # run under the cache lock so concurrent bind()/apply from
-        # several operators sharing this matrix cannot corrupt the
-        # dicts; hit paths read lock-free and keep local references.
-        self._spmm_scatter: Optional[RowScatter] = None
-        self._spmm_part_cache: dict[tuple[int, int], tuple] = {}
-        self._cache_lock = threading.Lock()
-
-    def __getstate__(self):
-        # Locks are unpicklable; the process backend ships the matrix
-        # to workers through the shared arena. Workers get their own.
-        state = self.__dict__.copy()
-        del state["_cache_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Constructors
@@ -151,121 +121,40 @@ class SSSMatrix(SymmetricFormat):
         )
 
     def spmv(self, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
-        """Serial symmetric SpM×V (Alg. 2), vectorized."""
+        """Serial symmetric SpM×V (Alg. 2): the diagonal, then the
+        stored lower rows as a compiled CSR gather and their transposed
+        contributions as a compiled CSC scatter over the same triple."""
         x, y = self._check_spmv_args(x, y)
-        y[:] = self.dvalues * x
-        if self.values.size:
-            products = self.values * x[self.colind]
-            y += csr_row_segment_sums(products, self.rowptr, 0, self.n_rows)
-            # Transposed (upper-triangle) contributions: y[c] += a_rc * x[r].
-            np.add.at(y, self.colind, self.values * x[self._rows])
-        return y
+        return self._apply(x, y)
 
     def spmm(self, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
         """Multi-RHS symmetric product: one pass over the stored lower
         triangle serves all ``k`` columns (direct and transposed halves
-        alike), so the ``6(NNZ+N)`` matrix bytes are streamed once."""
+        alike), so the ``6(NNZ+N)`` matrix bytes are streamed once.
+        Column ``j`` is bit-identical to ``spmv`` of column ``j``."""
         X, Y = self._check_spmm_args(X, Y)
-        Y[:] = self.dvalues[:, None] * X
-        if self.values.size:
-            products = self.values[:, None] * X[self.colind]
-            Y += csr_row_segment_sums(products, self.rowptr, 0, self.n_rows)
-            scatter = self._spmm_scatter
-            if scatter is None:
-                with self._cache_lock:
-                    scatter = self._spmm_scatter
-                    if scatter is None:
-                        scatter = RowScatter(self.colind)
-                        self._spmm_scatter = scatter
-            scatter.add(Y, self.values[:, None] * X[self._rows])
-        return Y
+        return self._apply(X, Y)
 
-    def spmm_partition(
-        self,
-        X: np.ndarray,
-        Y_direct: np.ndarray,
-        Y_local: np.ndarray,
-        row_start: int,
-        row_end: int,
-    ) -> None:
-        """Multi-RHS partition kernel: :meth:`spmv_partition` with
-        ``(n, k)`` operands, one structure traversal for all columns."""
-        lo, hi = self.rowptr[row_start], self.rowptr[row_end]
-        sl = slice(row_start, row_end)
-        Y_direct[sl] += self.dvalues[sl, None] * X[sl]
-        if hi == lo:
-            return
-        cols = self.colind[lo:hi]
-        vals = self.values[lo:hi]
-        products = vals[:, None] * X[cols]
-        Y_direct[sl] += csr_row_segment_sums(
-            products, self.rowptr, row_start, row_end
-        )
-        transposed = vals[:, None] * X[self._rows[lo:hi]]
-        local_pos, local_sc, direct_pos, direct_sc = self._partition_split(
-            row_start, row_end
-        )
-        if local_pos.size == 0:
-            direct_sc.add(Y_direct, transposed)
-            return
-        local_sc.add(Y_local, transposed[local_pos])
-        if direct_pos.size:
-            direct_sc.add(Y_direct, transposed[direct_pos])
+    def _apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        d = self.dvalues if x.ndim == 1 else self.dvalues[:, None]
+        np.multiply(d, x, out=y)
+        csr_matvec(self.rowptr, self.colind, self.values, x, y)
+        csc_matvec(self.rowptr, self.colind, self.values, x, y)
+        return y
 
-    def _partition_split(
-        self, row_start: int, row_end: int
-    ) -> tuple[np.ndarray, RowScatter, np.ndarray, RowScatter]:
-        """Cached local/direct split of one partition's transposed
-        writes: positions of entries with column < / >= ``row_start``
-        plus the window-restricted scatters through them (shared by the
-        1-D and multi-RHS partition kernels)."""
-        key = (row_start, row_end)
-        # Lock-free hit path; the tuple is immutable once built, so a
-        # concurrent eviction only affects dict membership, never this
-        # local reference.
-        cache = self._spmm_part_cache.get(key)
-        tracer = _active_tracer()
-        if tracer.enabled:
-            tracer.metrics.counter(
-                "sss.part_split_hit" if cache is not None
-                else "sss.part_split_miss"
-            ).inc()
-        if cache is None:
-            with self._cache_lock:
-                cache = self._spmm_part_cache.get(key)
-                if cache is None:
-                    lo, hi = self.rowptr[row_start], self.rowptr[row_end]
-                    cols = self.colind[lo:hi]
-                    local_pos = np.flatnonzero(cols < row_start)
-                    direct_pos = np.flatnonzero(cols >= row_start)
-                    cache = (
-                        local_pos,
-                        RowScatter(cols[local_pos]),
-                        direct_pos,
-                        RowScatter(cols[direct_pos]),
-                    )
-                    bounded_cache_insert(
-                        self._spmm_part_cache, key, cache,
-                        PART_SPLIT_CACHE_MAX,
-                    )
-        return cache
-
-    def precompile_partition(
+    def partition_kernel(
         self, row_start: int, row_end: int, k: Optional[int] = None
-    ) -> None:
-        """Build the partition's split and scatters (plus the flattened
-        ``k``-RHS indices) ahead of the first kernel call."""
-        _, local_sc, _, direct_sc = self._partition_split(row_start, row_end)
-        local_sc.compile(k)
-        direct_sc.compile(k)
+    ):
+        """The partition's Alg. 3 kernel with its local/direct split
+        built now, once; the caller (a bound operator) owns the kernel
+        and the split it holds."""
+        split = _PartitionSplit(self, row_start, row_end)
+        method = self.spmv_partition if k is None else self.spmm_partition
 
-    def clear_caches(self) -> None:
-        """Release the lazy scatter compilations (rebuilt on demand).
-        Safe against concurrent kernel calls: they hold local
-        references to whatever was compiled when they started."""
-        with self._cache_lock:
-            self._spmm_scatter = None
-            self._spmm_part_cache.clear()
+        def kernel(x, y_direct, y_local) -> None:
+            method(x, y_direct, y_local, row_start, row_end, split)
+
+        return kernel
 
     def spmv_partition(
         self,
@@ -274,37 +163,35 @@ class SSSMatrix(SymmetricFormat):
         y_local: np.ndarray,
         row_start: int,
         row_end: int,
+        split: Optional["_PartitionSplit"] = None,
     ) -> None:
         """Partition kernel for Alg. 3 (one thread's multiplication phase).
 
         Stored rows ``[row_start, row_end)`` are computed. Row results and
         transposed contributions landing inside the partition accumulate
         into ``y_direct``; transposed contributions to rows before
-        ``row_start`` go to ``y_local``. The transposed scatters run
-        through the cached local/direct split, window-restricted to each
-        side's effective column range.
+        ``row_start`` go to ``y_local``. ``split`` is the partition's
+        local/direct split from :meth:`partition_kernel` (what bound
+        operators pass); without one the call builds its own, uncached.
         """
-        lo, hi = self.rowptr[row_start], self.rowptr[row_end]
-        sl = slice(row_start, row_end)
-        y_direct[sl] += self.dvalues[sl] * x[sl]
-        if hi == lo:
-            return
-        cols = self.colind[lo:hi]
-        vals = self.values[lo:hi]
-        products = vals * x[cols]
-        y_direct[sl] += csr_row_segment_sums(
-            products, self.rowptr, row_start, row_end
+        _split_for(self, row_start, row_end, split).apply(
+            x, y_direct, y_local
         )
-        transposed = vals * x[self._rows[lo:hi]]
-        local_pos, local_sc, direct_pos, direct_sc = self._partition_split(
-            row_start, row_end
+
+    def spmm_partition(
+        self,
+        X: np.ndarray,
+        Y_direct: np.ndarray,
+        Y_local: np.ndarray,
+        row_start: int,
+        row_end: int,
+        split: Optional["_PartitionSplit"] = None,
+    ) -> None:
+        """Multi-RHS partition kernel: :meth:`spmv_partition` with
+        ``(n, k)`` operands, one structure traversal for all columns."""
+        _split_for(self, row_start, row_end, split).apply(
+            X, Y_direct, Y_local
         )
-        if local_pos.size == 0:
-            direct_sc.add(y_direct, transposed)
-            return
-        local_sc.add(y_local, transposed[local_pos])
-        if direct_pos.size:
-            direct_sc.add(y_direct, transposed[direct_pos])
 
     def lower_triple(
         self,
@@ -315,8 +202,9 @@ class SSSMatrix(SymmetricFormat):
     def to_coo(self) -> COOMatrix:
         """Expand to a full (both-triangle) COO matrix."""
         diag_rows = np.flatnonzero(self.dvalues).astype(np.int32)
-        rows = np.concatenate([self._rows, self.colind, diag_rows])
-        cols = np.concatenate([self.colind, self._rows, diag_rows])
+        lower_rows = _row_of_entry(self.rowptr)
+        rows = np.concatenate([lower_rows, self.colind, diag_rows])
+        cols = np.concatenate([self.colind, lower_rows, diag_rows])
         vals = np.concatenate(
             [self.values, self.values, self.dvalues[diag_rows]]
         )
@@ -350,3 +238,102 @@ class SSSMatrix(SymmetricFormat):
         ).astype(np.int64)
         counts += (self.dvalues != 0.0).astype(np.int64)
         return counts
+
+
+def _row_of_entry(rowptr: np.ndarray) -> np.ndarray:
+    """Row index of every stored entry (transient; SSS keeps none)."""
+    n = rowptr.shape[0] - 1
+    return np.repeat(np.arange(n, dtype=np.int32), np.diff(rowptr))
+
+
+def _split_for(
+    matrix: SSSMatrix, row_start: int, row_end: int,
+    split: Optional["_PartitionSplit"],
+) -> "_PartitionSplit":
+    """``split`` when it belongs to ``[row_start, row_end)`` of
+    ``matrix``, a fresh one when it is ``None``."""
+    if split is None:
+        return _PartitionSplit(matrix, row_start, row_end)
+    if (split.matrix, split.row_start, split.row_end) != (
+        matrix, row_start, row_end
+    ):
+        raise PartitionError(
+            f"split of rows [{split.row_start}, {split.row_end}) passed "
+            f"for rows [{row_start}, {row_end})"
+        )
+    return split
+
+
+class _PartitionSplit:
+    """Bind-time plan of one SSS partition ``[s, e)`` (Alg. 3).
+
+    The partition's stored rows are a CSR slice of the matrix
+    (``rowptr[s:e+1]`` with absolute offsets, no copy). Their transposed
+    contributions are the CSC reading of the same entries, split by
+    target: columns ``< s`` go to the thread's local vector (``local``),
+    columns ``>= s`` straight into the output (``direct``). Each half is
+    one ``(colptr, rowind, values)`` triple, so each is one compiled
+    call into its own target. A half with no entries is ``None``; when
+    the other half has every entry it is a view of the matrix arrays,
+    so only partitions with both kinds copy their entries (12 B each).
+    """
+
+    __slots__ = ("matrix", "row_start", "row_end", "rowptr", "local",
+                 "direct")
+
+    def __init__(self, matrix: SSSMatrix, row_start: int, row_end: int):
+        check_row_range(row_start, row_end, matrix.n_rows)
+        s, e = int(row_start), int(row_end)
+        self.matrix = matrix
+        self.row_start, self.row_end = s, e
+        self.rowptr = rowptr = matrix.rowptr[s: e + 1]
+        lo, hi = int(rowptr[0]), int(rowptr[-1])
+        cols = matrix.colind[lo:hi]
+        is_local = cols < s
+        n_local = int(np.count_nonzero(is_local))
+        whole = (rowptr, matrix.colind, matrix.values)
+        self.local = self.direct = None
+        if n_local == 0:
+            if hi > lo:
+                self.direct = whole
+        elif n_local == hi - lo:
+            self.local = whole
+        else:
+            # Per-row count of local entries, from a running count over
+            # the partition's entries (rows keep their stored order).
+            seen = np.zeros(hi - lo + 1, dtype=np.int32)
+            np.cumsum(is_local, out=seen[1:])
+            offsets = rowptr - lo
+            local_ptr = seen[offsets]
+            vals = matrix.values[lo:hi]
+            is_direct = ~is_local
+            self.local = (local_ptr, cols[is_local], vals[is_local])
+            self.direct = (
+                offsets - local_ptr, cols[is_direct], vals[is_direct]
+            )
+
+    def apply(
+        self, x: np.ndarray, y_direct: np.ndarray, y_local: np.ndarray
+    ) -> None:
+        """Accumulate the partition's product into its two targets
+        (``x``/``y_*`` vectors or ``(n, k)`` blocks of length ``N``)."""
+        m, s, e = self.matrix, self.row_start, self.row_end
+        n = m.n_rows
+        if x.shape[0] != n or y_direct.shape[0] != n or (
+            self.local is not None and y_local.shape[0] != n
+        ):
+            raise ShapeError(
+                f"partition operands must have {n} rows: x {x.shape}, "
+                f"y_direct {y_direct.shape}, "
+                f"y_local {getattr(y_local, 'shape', None)}"
+            )
+        sl = slice(s, e)
+        x_own = x[sl]
+        y_own = y_direct[sl]
+        d = m.dvalues[sl] if x.ndim == 1 else m.dvalues[sl, None]
+        y_own += d * x_own
+        csr_matvec(self.rowptr, m.colind, m.values, x, y_own)
+        if self.local is not None:
+            csc_matvec(*self.local, x_own, y_local)
+        if self.direct is not None:
+            csc_matvec(*self.direct, x_own, y_direct)

@@ -55,6 +55,8 @@ __all__ = [
     "PartitionError",
     "check_finite",
     "check_index_bounds",
+    "narrow_compressed_indices",
+    "check_row_range",
     "check_entry_arrays",
     "check_no_duplicates",
     "check_lower_triangle",
@@ -118,6 +120,13 @@ def check_finite(arr: np.ndarray, what: str = "values") -> None:
         )
 
 
+def _check_integer_dtype(arr: np.ndarray, what: str) -> None:
+    """Raise :class:`DTypeError` unless a non-empty index array has an
+    integer dtype (empty arrays of any dtype carry no index)."""
+    if arr.size and arr.dtype.kind not in "iu":
+        raise DTypeError(f"{what} must be integer, got {arr.dtype}")
+
+
 def check_index_bounds(
     rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
 ) -> None:
@@ -129,12 +138,59 @@ def check_index_bounds(
     if rows.size == 0:
         return
     for arr in (rows, cols):
-        if arr.dtype.kind not in "iu":
-            raise DTypeError(f"index arrays must be integer, got {arr.dtype}")
+        _check_integer_dtype(arr, "index arrays")
     if rows.min() < 0 or cols.min() < 0:
         raise BoundsError("negative indices")
     if rows.max() >= shape[0] or cols.max() >= shape[1]:
         raise BoundsError(f"index out of bounds for shape {shape}")
+
+
+def narrow_compressed_indices(
+    rowptr, colind, n_rows: int, n_cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a compressed-row ``(rowptr, colind)`` pair on the
+    caller's arrays, then narrow it to int32 storage.
+
+    The compiled kernels do no bounds checking, so an index that wraps
+    or truncates into range here would become an out-of-bounds access
+    there. Raises :class:`DTypeError` for non-integer (non-empty)
+    arrays, :class:`ShapeError` for a wrong ``rowptr`` length,
+    :class:`BoundsError` for a ``rowptr`` entry outside ``[0, nnz]`` or
+    a column outside ``[0, n_cols)``, and :class:`ValidationError` when
+    ``rowptr`` does not run from 0 to ``nnz`` without decreasing.
+    """
+    rowptr = np.asarray(rowptr)
+    colind = np.asarray(colind)
+    _check_integer_dtype(rowptr, "rowptr")
+    _check_integer_dtype(colind, "colind")
+    if rowptr.shape != (n_rows + 1,):
+        raise ShapeError(
+            f"rowptr has shape {rowptr.shape}, expected ({n_rows + 1},)"
+        )
+    if colind.ndim != 1:
+        raise ShapeError("colind must be 1-D")
+    nnz = colind.size
+    if rowptr.min() < 0 or rowptr.max() > nnz:
+        raise BoundsError(f"rowptr entries must lie in [0, {nnz}]")
+    if nnz and (colind.min() < 0 or colind.max() >= n_cols):
+        raise BoundsError(f"column index out of bounds for {n_cols} columns")
+    if rowptr[0] != 0 or rowptr[-1] != nnz:
+        raise ValidationError("rowptr must start at 0 and end at nnz")
+    if np.any(np.diff(rowptr) < 0):
+        raise ValidationError("rowptr must be non-decreasing")
+    return (
+        rowptr.astype(np.int32, copy=False),
+        colind.astype(np.int32, copy=False),
+    )
+
+
+def check_row_range(row_start: int, row_end: int, n_rows: int) -> None:
+    """Raise :class:`PartitionError` unless ``0 <= row_start <= row_end
+    <= n_rows`` (a partition kernel's row range)."""
+    if not 0 <= row_start <= row_end <= n_rows:
+        raise PartitionError(
+            f"row range [{row_start}, {row_end}) outside [0, {n_rows}]"
+        )
 
 
 def check_entry_arrays(

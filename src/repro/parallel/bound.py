@@ -3,9 +3,9 @@
 Iterative solvers apply the same operator hundreds of times (CG,
 Fig. 14). This module is the repo's OSKI-style answer (Akbudak et al.;
 RACE's precomputed execution schedules) and the drivers' only
-execution path: binding builds the per-thread task closures, the
-``(p, N[, k])`` local buffers and the output workspace, and compiles
-the formats' lazy scatter caches *once*; a :class:`BoundOperator`'s
+execution path: binding builds the per-thread task closures with their
+partition kernels, the ``(p, N[, k])`` local buffers and the output
+workspace *once*; a :class:`BoundOperator`'s
 ``__call__`` then only zeroes workspaces in place and runs the
 precompiled tasks. ``driver(x)`` applies the driver's own cached
 operator (``driver.operator(k)``); ``driver.bind(k)`` returns a new
@@ -81,7 +81,10 @@ def compile_symmetric_tasks(
     driver. Shared by the parent's bound operator and the process-pool
     workers (which call it against their own zero-copy views of the
     same shared-memory workspaces), so both sides execute the one task
-    definition. ``get_x`` defers the input read to call time.
+    definition. ``get_x`` defers the input read to call time. Each
+    closure holds its partition's kernel (``partition_kernel``: for SSS
+    the bind-time local/direct split), so whoever holds the tasks owns
+    those plans and dropping the tasks releases them.
 
     For a conflict-free (coloring) reduction this returns the schedule's
     *steps* — a list of barrier-separated task lists — instead of a flat
@@ -92,15 +95,14 @@ def compile_symmetric_tasks(
         from .coloring import compile_colored_steps
 
         return compile_colored_steps(reduction.schedule, y, get_x, k)
-    multi = k is not None
     tasks = []
     for tid, (start, end) in enumerate(partitions):
         y_direct, y_local = reduction.thread_targets(tid, y, locals_)
-        kernel = matrix.spmm_partition if multi else matrix.spmv_partition
+        kernel = matrix.partition_kernel(start, end, k)
 
-        def task(kernel=kernel, y_direct=y_direct, y_local=y_local,
-                 start=start, end=end) -> None:
-            kernel(get_x(), y_direct, y_local, start, end)
+        def task(kernel=kernel, y_direct=y_direct,
+                 y_local=y_local) -> None:
+            kernel(get_x(), y_direct, y_local)
 
         tasks.append(task)
     return tasks
@@ -148,9 +150,9 @@ class BoundOperator:
         reading the input slot set by each call),
     (b) allocates persistent output/local workspaces that are zeroed in
         place instead of re-allocated per call, and
-    (c) eagerly compiles the format's lazy scatter/split caches
-        (window-restricted scatters, flattened ``k``-RHS indices) so
-        the first timed iteration is not a compilation run.
+    (c) builds each partition's kernel plan (SSS: the local/direct
+        split; CSX: the compiled scatters and flattened ``k``-RHS
+        indices) so the first timed iteration is not a compilation run.
 
     Concurrency: the operator owns *one* set of persistent workspaces,
     so applications are inherently non-reentrant — two interleaved
@@ -531,10 +533,11 @@ class BoundOperator:
             _obs_warn("resilience.operator_poisoned")
 
     def close(self) -> None:
-        """Release the workspaces and the format's lazy execution
-        caches (``clear_caches``). Idempotent; the operator cannot be
-        called afterwards. Note the format caches are shared with other
-        operators bound to the same matrix — they rebuild on demand.
+        """Release the workspaces, the partition kernels the tasks hold
+        and the format's lazy execution caches (``clear_caches``).
+        Idempotent; the operator cannot be called afterwards. Note the
+        format caches are shared with other operators bound to the same
+        matrix — they rebuild on demand.
         Waits for any in-flight apply (same lock), so teardown never
         pulls workspaces out from under a running application."""
         with self._apply_lock:
@@ -593,8 +596,9 @@ class BoundOperator:
 
 class BoundSymmetricSpMV(BoundOperator):
     """Bound two-phase symmetric driver: persistent ``(p, N[, k])``
-    local vectors, precompiled local/direct splits, in-place
-    effective-region zeroing, and the configured reduction.
+    local vectors, per-partition kernels built at bind (for SSS the
+    local/direct split, released on close), in-place effective-region
+    zeroing, and the configured reduction.
 
     With the ``"coloring"`` strategy the bound shape changes: no local
     vectors exist (``allocate_locals`` is all ``None``, the zero volume
@@ -608,13 +612,10 @@ class BoundSymmetricSpMV(BoundOperator):
         return getattr(self.driver.reduction, "conflict_free", False)
 
     def _precompile(self) -> None:
+        # Partition kernels are built with the tasks; the colored path
+        # never runs them, so compile the schedule's flat indices.
         if self._conflict_free:
-            # The partition kernels never run; compile the schedule's
-            # multi-RHS flat indices instead.
             self.driver.reduction.schedule.precompile(self.k)
-            return
-        for start, end in self.driver.partitions:
-            self.driver.matrix.precompile_partition(start, end, self.k)
 
     def _allocate_workspaces(self) -> None:
         self._locals = self.driver.reduction.allocate_locals(self.k)

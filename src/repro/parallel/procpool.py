@@ -141,8 +141,6 @@ def _build_tasks(spec: WorkerSpec, ws: "_shm.SharedArena", x, y) -> list:
             )
             tasks = [task for step in steps for task in step]
         else:
-            for start, end in partitions:
-                matrix.precompile_partition(start, end, spec.k)
             tasks = compile_symmetric_tasks(
                 matrix, reduction, partitions, spec.k, y, locals_, lambda: x
             )

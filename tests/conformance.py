@@ -3,8 +3,10 @@
 ``test_conformance.py`` drives this. The kit owns three things:
 
 * a seeded battery of edge-case symmetric matrices — dense-ish random,
-  empty rows/columns, all-zero diagonal, banded with runs, 1×1 and
-  all-zero — built once and reused across the parametrized suite;
+  empty rows/columns, all-zero diagonal, banded with runs, an arrow and
+  thirds-aligned blocks (partitions with only local / only direct
+  transposed entries), 1×1 and all-zero — built once and reused across
+  the parametrized suite;
 * builders for every storage format from a shared COO matrix;
 * partition layouts per case, including single-row partitions and
   layouts with more partitions than rows carrying non-zeros.
@@ -151,6 +153,19 @@ def _battery() -> list[ConformanceCase]:
             _random_symmetric(20, 0.25, seed=14, zero_diagonal=True),
         )
     )
+
+    # Partition-split edge cases for the "thirds" layout (bounds 0, 10,
+    # 20, 30). An arrow (every row coupled to row 0 only): partitions
+    # past the first have only local transposed entries. Blocks aligned
+    # to the thirds: every partition has only direct ones.
+    rng = np.random.default_rng(15)
+    arrow = np.diag(rng.uniform(0.5, 2.0, 30))
+    arrow[1:, 0] = arrow[0, 1:] = rng.uniform(-1.0, 1.0, 29)
+    cases.append(ConformanceCase("arrow", arrow))
+    blocks = np.zeros((30, 30))
+    for b in range(0, 30, 10):
+        blocks[b:b + 10, b:b + 10] = _random_symmetric(10, 0.5, seed=16 + b)
+    cases.append(ConformanceCase("aligned_blocks", blocks))
 
     cases.append(ConformanceCase("one_by_one", np.array([[2.5]])))
     cases.append(ConformanceCase("all_zero", np.zeros((5, 5))))

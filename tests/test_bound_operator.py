@@ -10,10 +10,12 @@ every call, and releases the format's lazy caches on ``close()``.
 
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import repro.formats.sss as sss_module
 from repro.formats.base import FLAT_CACHE_MAX, RowScatter
 from repro.formats.csx.matrix import CSXMatrix
 from repro.parallel import (
@@ -159,16 +161,30 @@ def test_bind_idempotent_and_rebind():
     fresh.close()
 
 
-def test_close_releases_and_rejects():
+def test_close_releases_and_rejects(monkeypatch):
     driver = _sym_driver("random", "sss", "indexed")
     sss = driver.matrix
+    splits = []
+
+    class RecordedSplit(sss_module._PartitionSplit):
+        def __init__(self, *args):
+            super().__init__(*args)
+            splits.append(weakref.ref(self))
+
+    monkeypatch.setattr(sss_module, "_PartitionSplit", RecordedSplit)
     bound = driver.bind(2)
+    # One local/direct split per partition, built at bind...
+    assert len(splits) == len(driver.partitions)
     X = rhs_block(sss.n_cols, 2)
     bound(X)
-    assert sss._spmm_part_cache  # populated by the bound passes
+    bound(X)
+    # ...reused by every apply and held only by the operator...
+    assert len(splits) == len(driver.partitions)
+    assert all(ref() is not None for ref in splits)
     bound.close()
-    assert not sss._spmm_part_cache  # clear_caches() wired through
-    assert sss._spmm_scatter is None
+    gc.collect()
+    # ...and released with it.
+    assert all(ref() is None for ref in splits)
     assert bound.closed
     with pytest.raises(RuntimeError):
         bound(X)

@@ -11,9 +11,11 @@ fix and fails on the pre-fix code:
 * ``BoundOperator.__call__`` zeroed and filled *shared* persistent
   workspaces with no mutual exclusion, so two threads applying the
   same operator silently corrupted each other's results.
-* The bounded lazy caches (``RowScatter`` flat indices, SSS partition
-  splits, CSX plan scatters) mutated plain dicts from worker threads;
-  eviction could yank a compiled array from under an in-flight kernel.
+* The bounded lazy caches (``RowScatter`` flat indices, CSX plan
+  scatters) mutated plain dicts from worker threads; eviction could
+  yank a compiled array from under an in-flight kernel. (SSS keeps no
+  such cache: each bound operator owns its partition splits, and the
+  last test checks that operators sharing one matrix stay exact.)
 
 The drivers' own cross-backend bit-identity is covered by the
 conformance suite; these tests aim threads at the *same* object on
@@ -284,13 +286,12 @@ def test_row_scatter_cache_stress(fast_switching):
     assert len(scatter._flat) <= FLAT_CACHE_MAX
 
 
-def test_sss_partition_split_cache_stress(fast_switching, monkeypatch):
-    """Concurrent binds/applies with distinct partitionings against one
-    SSS matrix, with the split cache shrunk so eviction is constant:
-    results must stay bit-identical to serial."""
-    import repro.formats.sss as sss_mod
-
-    monkeypatch.setattr(sss_mod, "PART_SPLIT_CACHE_MAX", 2)
+def test_sss_shared_matrix_bind_apply_stress(fast_switching):
+    """Threads binding, applying and closing their own operators with
+    distinct partitionings of one shared SSS matrix — some on a thread
+    pool, so the compiled partition kernels really overlap — must all
+    stay bit-identical to serial. Each operator owns its partition
+    splits; the matrix holds no execution state to race on."""
     matrix, _ = build_symmetric("random", "sss", "single")
     n = matrix.n_rows
     layouts = []
@@ -300,37 +301,34 @@ def test_sss_partition_split_cache_stress(fast_switching, monkeypatch):
             [(int(bounds[i]), int(bounds[i + 1])) for i in range(p)]
         )
     x = rhs_block(n, None, seed=9)
-    drivers = [
-        ParallelSymmetricSpMV(matrix, parts, "indexed")
+    refs = [
+        np.array(ParallelSymmetricSpMV(matrix, parts, "indexed")(x))
         for parts in layouts
     ]
-    refs = [d(x) for d in drivers]
-    matrix.clear_caches()
-
+    pool = Executor("threads", max_workers=2)
     failures: list[str] = []
-    stop = threading.Event()
-
-    def clearer() -> None:
-        while not stop.is_set():
-            matrix.clear_caches()
 
     def worker(slot: int) -> None:
-        d, ref = drivers[slot % len(drivers)], refs[slot % len(drivers)]
-        for i in range(25):
-            y = d(x)
-            if not np.array_equal(y, ref):
-                failures.append(f"driver {slot} iter {i} corrupted")
-                return
+        parts, ref = layouts[slot % len(layouts)], refs[slot % len(refs)]
+        executor = pool if slot % 2 else None
+        for i in range(15):
+            driver = ParallelSymmetricSpMV(
+                matrix, parts, "indexed", executor=executor
+            )
+            with driver.bind() as op:
+                if not np.array_equal(op(x), ref):
+                    failures.append(f"worker {slot} iter {i} corrupted")
+                    return
 
-    clear_thread = threading.Thread(target=clearer)
     workers = [
-        threading.Thread(target=worker, args=(i,)) for i in range(5)
+        threading.Thread(target=worker, args=(i,)) for i in range(6)
     ]
-    clear_thread.start()
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join()
-    stop.set()
-    clear_thread.join()
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        pool.close()
+    assert not any(t.is_alive() for t in workers)
     assert not failures, failures[0]

@@ -6,7 +6,9 @@ same seeded battery of edge-case matrices against the dense reference:
 * serial SpM×V and multi-RHS SpM×M (k ∈ {1, 4}) for all formats;
 * the two-phase symmetric driver for every (format × reduction ×
   partition layout), 1-D and 2-D;
-* the unsymmetric driver (CSR / CSX) across the same layouts.
+* the unsymmetric driver (CSR / CSX) across the same layouts;
+* for the compiled SSS / CSR kernels, SpM×M column ``j`` bit-identical
+  to the solo SpM×V of column ``j`` (the serving coalescing contract).
 """
 
 import numpy as np
@@ -113,6 +115,33 @@ def test_unsymmetric_driver_spmm(case, fmt, k):
     kernel = ParallelSpMV(matrix, parts)
     X = rhs_block(matrix.n_cols, k)
     assert np.allclose(kernel(X), reference_product(case, X))
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 8))
+@pytest.mark.parametrize("fmt", ["sss", "csr"])
+@pytest.mark.parametrize("case", CASE_NAMES)
+def test_spmm_columns_bit_identical_to_spmv(case, fmt, k):
+    """Column ``j`` of a k-RHS product equals the solo product of column
+    ``j`` bit for bit: serially and through the partition kernels of
+    every bound driver (what coalesced serving relies on)."""
+    m = build_format(case, fmt)
+    X = rhs_block(m.n_cols, k)
+    Y = m.spmm(X)
+    for j in range(k):
+        assert np.array_equal(Y[:, j], m.spmv(X[:, j].copy()))
+    if fmt == "sss":
+        matrix, parts = build_symmetric(case, fmt, "thirds")
+        drivers = [
+            ParallelSymmetricSpMV(matrix, parts, method)
+            for method in REDUCTIONS
+        ]
+    else:
+        matrix, parts = build_unsymmetric(case, fmt, "thirds")
+        drivers = [ParallelSpMV(matrix, parts)]
+    for driver in drivers:
+        Y = np.array(driver(X))
+        for j in range(k):
+            assert np.array_equal(Y[:, j], driver(X[:, j].copy()))
 
 
 def _plan_seed(*labels: str) -> int:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.formats import COOMatrix, CSRMatrix
-from repro.formats.csr import csr_row_segment_sums
+from repro.formats import COOMatrix, CSRMatrix, SSSMatrix
+from repro.formats.validate import BoundsError, DTypeError, PartitionError
 
 
 def test_from_coo_matches_dense(sym_dense_small):
@@ -80,6 +80,40 @@ def test_column_out_of_bounds_rejected():
         CSRMatrix((2, 2), [0, 1, 1], [5], [1.0])
 
 
+@pytest.mark.parametrize(
+    "colind",
+    [
+        [-1],
+        np.array([2**32 + 2], dtype=np.int64),  # narrowed to int32: 2
+        np.array([2**32 + 2], dtype=np.uint64),
+    ],
+)
+def test_out_of_range_column_rejected_not_wrapped(colind):
+    with pytest.raises(BoundsError):
+        CSRMatrix((3, 3), [0, 1, 1, 1], colind, [1.0])
+
+
+@pytest.mark.parametrize("colind", [[1.9], [1.0], [True]])
+def test_non_integer_column_rejected(colind):
+    # 1.9 narrowed to int32 is 1.
+    with pytest.raises(DTypeError):
+        CSRMatrix((3, 3), [0, 1, 1, 1], colind, [1.0])
+
+
+def test_wide_or_fractional_rowptr_rejected():
+    with pytest.raises(BoundsError):
+        CSRMatrix((2, 2), np.array([0, 2**32 + 1, 1]), [0], [1.0])
+    with pytest.raises(DTypeError):
+        CSRMatrix((2, 2), [0.0, 1.0, 1.0], [0], [1.0])
+
+
+@pytest.mark.parametrize("bounds", [(-1, 2), (2, 1), (0, 3)])
+def test_row_range_kernel_rejects_bad_range(bounds):
+    csr = CSRMatrix.from_dense(np.eye(2))
+    with pytest.raises(PartitionError):
+        csr.spmv_rows(np.ones(2), np.zeros(2), *bounds)
+
+
 def test_row_access(sym_dense_small):
     csr = CSRMatrix.from_dense(sym_dense_small)
     cols, vals = csr.row(3)
@@ -99,17 +133,42 @@ def test_to_coo_roundtrip(sym_coo_medium):
     assert np.array_equal(back.to_dense(), sym_coo_medium.to_dense())
 
 
-def test_segment_sums_empty_rows():
-    rowptr = np.array([0, 2, 2, 3], dtype=np.int32)
-    products = np.array([1.0, 2.0, 5.0])
-    sums = csr_row_segment_sums(products, rowptr, 0, 3)
-    assert np.array_equal(sums, [3.0, 0.0, 5.0])
+def test_spmv_empty_rows():
+    # The empty middle row sits between two stored rows.
+    csr = CSRMatrix((3, 3), [0, 2, 2, 3], [0, 2, 1], [1.0, 2.0, 5.0])
+    assert np.array_equal(csr.spmv(np.ones(3)), [3.0, 0.0, 5.0])
 
 
-def test_segment_sums_empty_products():
-    rowptr = np.array([0, 0, 0], dtype=np.int32)
-    sums = csr_row_segment_sums(np.zeros(0), rowptr, 0, 2)
-    assert np.array_equal(sums, [0.0, 0.0])
+def test_spmv_without_entries():
+    csr = CSRMatrix((2, 2), [0, 0, 0], [], [])
+    assert np.array_equal(csr.spmv(np.ones(2)), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_row_range_kernels_sum_rows_locally(k):
+    # The fuzz-found rounding defect (a global prefix-sum difference
+    # wiped out a tiny row after a huge one) through the row-range
+    # kernels: each row is summed on its own, so it stays exact.
+    def rhs(x):
+        return x if k is None else np.repeat(x[:, None], k, axis=1)
+
+    csr = CSRMatrix.from_dense(np.array([[1e100, 0.0], [0.0, 3.0]]))
+    rows_kernel = csr.spmv_rows if k is None else csr.spmm_rows
+    for start in (0, 1):
+        y = np.zeros((2,) if k is None else (2, k))
+        rows_kernel(rhs(np.ones(2)), y, start, 2)
+        assert np.all(y[1] == 3.0)
+
+    dense = np.zeros((3, 3))
+    dense[1, 0] = dense[0, 1] = 1e100
+    dense[2, 0] = dense[0, 2] = 3.0
+    sss = SSSMatrix.from_dense(dense)
+    for start in (0, 1, 2):
+        y_direct = np.zeros((3,) if k is None else (3, k))
+        y_local = np.zeros_like(y_direct)
+        kernel = sss.spmv_partition if k is None else sss.spmm_partition
+        kernel(rhs(np.array([1.0, 0.0, 0.0])), y_direct, y_local, start, 3)
+        assert np.all(y_direct[2] == 3.0)
 
 
 def test_spmv_against_scipy(sym_coo_medium, rng):

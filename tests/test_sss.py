@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from repro.formats import COOMatrix, CSRMatrix, SSSMatrix
+from repro.formats.validate import (
+    BoundsError,
+    DTypeError,
+    PartitionError,
+)
 
 
 def test_from_coo_matches_dense(sym_dense_small):
@@ -70,6 +75,61 @@ def test_strictly_lower_enforced():
             colind=np.array([1], dtype=np.int32),  # upper entry in row 0
             values=np.array([1.0]),
         )
+
+
+def _one_entry_sss(colind, rowptr=(0, 0, 1, 1)):
+    return SSSMatrix((3, 3), np.ones(3), rowptr, colind, [5.0])
+
+
+@pytest.mark.parametrize(
+    "colind",
+    [
+        [-1],  # would read x[-1] and write y[-1] in the compiled kernel
+        [3],  # past the last column
+        np.array([2**32], dtype=np.int64),  # narrowed to int32: 0
+        np.array([2**32], dtype=np.uint64),
+    ],
+)
+def test_out_of_range_column_rejected_not_wrapped(colind):
+    with pytest.raises(BoundsError):
+        _one_entry_sss(colind)
+
+
+@pytest.mark.parametrize("colind", [[0.7], [0.0], [False]])
+def test_non_integer_column_rejected(colind):
+    with pytest.raises(DTypeError):
+        _one_entry_sss(colind)
+
+
+def test_wide_rowptr_rejected_not_wrapped():
+    # 2**32 + 1 narrowed to int32 is 1: a valid-looking row pointer.
+    with pytest.raises(BoundsError):
+        _one_entry_sss([0], rowptr=np.array([0, 0, 2**32 + 1, 1]))
+    with pytest.raises(DTypeError):
+        _one_entry_sss([0], rowptr=[0.0, 0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.uint64])
+def test_any_integer_index_dtype_accepted(dtype):
+    sss = _one_entry_sss(
+        np.array([0], dtype=dtype), rowptr=np.array([0, 0, 1, 1], dtype=dtype)
+    )
+    assert sss.rowptr.dtype == np.int32 and sss.colind.dtype == np.int32
+    assert np.array_equal(sss.spmv(np.array([1.0, 2.0, 3.0])), [11, 7, 3])
+
+
+def test_empty_lower_triangle_of_any_dtype_accepted():
+    sss = SSSMatrix((2, 2), [1.0, 2.0], [0, 0, 0], np.zeros(0), [])
+    assert sss.colind.dtype == np.int32
+    assert np.array_equal(sss.spmv(np.ones(2)), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bounds", [(-1, 2), (2, 1), (0, 4)])
+def test_partition_kernel_rejects_bad_row_range(bounds):
+    sss = _one_entry_sss([0])
+    y = np.zeros(3)
+    with pytest.raises(PartitionError):
+        sss.spmv_partition(np.ones(3), y, y.copy(), *bounds)
 
 
 def test_partition_kernel_covers_matrix(sym_dense_medium, rng):
@@ -141,3 +201,26 @@ def test_spmv_against_scipy(sym_coo_medium, rng):
 def test_skip_symmetry_check_allows_fast_path(sym_coo_small):
     sss = SSSMatrix.from_coo(sym_coo_small, check_symmetry=False)
     assert sss.nnz == sym_coo_small.nnz
+
+
+def test_partition_kernel_matches_uncached_call(sym_dense_medium, rng):
+    sss = SSSMatrix.from_dense(sym_dense_medium)
+    x = rng.standard_normal(sss.n_cols)
+    direct, local = np.zeros(sss.n_rows), np.zeros(sss.n_rows)
+    sss.partition_kernel(100, 200)(x, direct, local)
+    ref_direct, ref_local = np.zeros(sss.n_rows), np.zeros(sss.n_rows)
+    sss.spmv_partition(x, ref_direct, ref_local, 100, 200)
+    assert np.array_equal(direct, ref_direct)
+    assert np.array_equal(local, ref_local)
+
+
+def test_split_of_another_row_range_rejected(sym_dense_medium, rng):
+    from repro.formats.sss import _PartitionSplit
+
+    sss = SSSMatrix.from_dense(sym_dense_medium)
+    y = np.zeros(sss.n_rows)
+    with pytest.raises(PartitionError):
+        sss.spmv_partition(
+            rng.standard_normal(sss.n_cols), y, y.copy(), 100, 200,
+            _PartitionSplit(sss, 0, 100),
+        )
