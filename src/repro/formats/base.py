@@ -126,18 +126,6 @@ class RowScatter:
         self._flat: dict[int, np.ndarray] = {}
         self._flat_lock = threading.Lock()
 
-    def __getstate__(self):
-        # Locks are unpicklable; the process backend ships scatters to
-        # workers through the shared arena. Each process re-creates its
-        # own lock (the cache is per-process state anyway).
-        state = self.__dict__.copy()
-        del state["_flat_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._flat_lock = threading.Lock()
-
     @property
     def window(self) -> tuple[int, int]:
         """Effective output window ``[lo, hi)`` the scatter touches."""

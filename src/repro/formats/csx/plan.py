@@ -83,17 +83,6 @@ class ExecutionPlan:
         )
         self._cache_lock = threading.Lock()
 
-    def __getstate__(self):
-        # Locks are unpicklable; the process backend ships the plan to
-        # workers through the shared arena. Workers get their own.
-        state = self.__dict__.copy()
-        del state["_cache_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._cache_lock = threading.Lock()
-
     @property
     def n_elements(self) -> int:
         return sum(k.n_elements for k in self.kernels)

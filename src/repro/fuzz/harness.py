@@ -155,8 +155,7 @@ class Combo:
         faults then surface as the typed containment exceptions, which
         the harness classifies (serial combos ignore the plan: there is
         no batch to disrupt). ``executor_mode`` instead picks a plain
-        backend ("threads"/"processes") for the parallel/bound drivers
-        — the cross-backend rotation of the fuzz-smoke CI job.
+        backend ("threads") for the parallel/bound drivers.
         """
         executor = None
         if self.driver != "serial":
@@ -254,8 +253,8 @@ class FuzzConfig:
     #: oracle (faults absorbed by retry/re-ingest) or fail with a typed
     #: ooc error, never silently corrupt. 0 disables.
     ooc_every: int = 8
-    #: Executor backend for the parallel/bound combos ("threads" or
-    #: "processes"; None keeps the drivers' default serial executor).
+    #: Executor backend for the parallel/bound combos ("threads"; None
+    #: keeps the drivers' default serial executor).
     executor_mode: Optional[str] = None
 
 

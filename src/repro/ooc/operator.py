@@ -100,8 +100,7 @@ class ShardedOperator:
     reduction : str
         Reduction method for the per-shard symmetric driver.
     executor : Executor, optional
-        Shared by every per-shard driver (serial default); a
-        ``processes`` executor is rejected.
+        Shared by every per-shard driver (serial default).
     """
 
     def __init__(
@@ -125,13 +124,6 @@ class ShardedOperator:
             raise ValueError(f"n_threads must be >= 1, got {n_threads}")
         self.reduction = reduction
         self.executor = executor or Executor("serial")
-        if self.executor.mode == "processes":
-            # Every shard reload would bind a fresh driver and start a
-            # worker pool for it.
-            raise ValueError(
-                "ShardedOperator does not run on a 'processes' executor; "
-                "use 'threads' or 'serial'"
-            )
         largest = max(
             (info.n_bytes for info in store.shards), default=0
         )

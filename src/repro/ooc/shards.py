@@ -58,7 +58,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from ..formats.validate import CanonicalityError
+from ..formats.validate import BoundsError, CanonicalityError
 from ..matrices.mmio import iter_coordinates
 from ..obs.tracer import active as _active_tracer, warn as _obs_warn
 from ..parallel.partition import partition_nnz_balanced
@@ -81,6 +81,9 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA = "repro-ooc-manifest-v1"
 _HDR = struct.Struct("<4q")
 _SPILL_DTYPE = np.dtype([("r", "<i8"), ("c", "<i8"), ("v", "<f8")])
+
+#: Largest extent the int32 shard ``colind`` can address.
+_INDEX_MAX = np.iinfo(np.int32).max
 
 #: Default stored entries per shard when the caller gives no target.
 DEFAULT_SHARD_NNZ = 1 << 18
@@ -151,6 +154,10 @@ def _build_payload(
     lr = rows[~diag] - row_start
     lc = cols[~diag]
     lv = vals[~diag]
+    if lc.size and (lc.min() < 0 or lc.max() > _INDEX_MAX):
+        raise BoundsError(
+            "shard column index outside the int32 range of colind"
+        )
     counts = np.bincount(lr, minlength=n_local)
     rowptr = np.zeros(n_local + 1, dtype=np.int64)
     np.cumsum(counts, out=rowptr[1:])
@@ -244,6 +251,13 @@ def ingest_matrix_market(
                 "out-of-core ingest requires the 'symmetric' MatrixMarket "
                 "qualifier: row-range shards store the canonical lower "
                 "triangle, which a general file does not declare"
+            )
+        if max(header.n_rows, header.n_cols) > _INDEX_MAX:
+            chunks.close()
+            raise BoundsError(
+                f"size line declares {header.n_rows} x {header.n_cols}; "
+                f"shards store int32 column indices (at most "
+                f"{_INDEX_MAX} rows and columns)"
             )
         n = header.n_rows
 

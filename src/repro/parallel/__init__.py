@@ -6,8 +6,6 @@ from ..resilience import (
     ChaosPlan,
     OperatorClosedError,
     PoisonedOperatorError,
-    RemoteTaskError,
-    WorkerCrashError,
 )
 from .bound import BoundOperator, BoundSpMV, BoundSymmetricSpMV
 from .coloring import (
@@ -36,7 +34,6 @@ from .reduction import (
     ReductionMethod,
     make_reduction,
 )
-from .shm import live_segments, shared_memory_available
 from .spmv import ParallelSpMV, ParallelSymmetricSpMV
 
 __all__ = [
@@ -45,10 +42,6 @@ __all__ = [
     "BatchExecutionError",
     "PoisonedOperatorError",
     "OperatorClosedError",
-    "WorkerCrashError",
-    "RemoteTaskError",
-    "live_segments",
-    "shared_memory_available",
     "partition_nnz_balanced",
     "partition_rows_equal",
     "validate_partitions",

@@ -29,13 +29,7 @@ import numpy as np
 from ..obs.tracer import active as _active_tracer, warn as _obs_warn
 from ..resilience.errors import OperatorClosedError, PoisonedOperatorError
 
-__all__ = [
-    "BoundOperator",
-    "BoundSymmetricSpMV",
-    "BoundSpMV",
-    "compile_symmetric_tasks",
-    "compile_unsymmetric_tasks",
-]
+__all__ = ["BoundOperator", "BoundSymmetricSpMV", "BoundSpMV"]
 
 _POISON_POLICIES = ("recover", "raise")
 
@@ -72,71 +66,6 @@ def _record_traffic(tracer, matrix, k: Optional[int], reduction=None) -> int:
             # class count.
             m.counter("coloring.barrier_waits").inc(sched.n_barriers)
     return stream
-
-
-def compile_symmetric_tasks(
-    matrix, reduction, partitions, k: Optional[int], y, locals_, get_x
-) -> list:
-    """Per-thread multiplication closures for the two-phase symmetric
-    driver. Shared by the parent's bound operator and the process-pool
-    workers (which call it against their own zero-copy views of the
-    same shared-memory workspaces), so both sides execute the one task
-    definition. ``get_x`` defers the input read to call time. Each
-    closure holds its partition's kernel (``partition_kernel``: for SSS
-    the bind-time local/direct split), so whoever holds the tasks owns
-    those plans and dropping the tasks releases them.
-
-    For a conflict-free (coloring) reduction this returns the schedule's
-    *steps* — a list of barrier-separated task lists — instead of a flat
-    list; the bound operator runs them step-at-a-time and the process
-    workers flatten them step-major so global task ids index the same
-    closures on both sides."""
-    if getattr(reduction, "conflict_free", False):
-        from .coloring import compile_colored_steps
-
-        return compile_colored_steps(reduction.schedule, y, get_x, k)
-    tasks = []
-    for tid, (start, end) in enumerate(partitions):
-        y_direct, y_local = reduction.thread_targets(tid, y, locals_)
-        kernel = matrix.partition_kernel(start, end, k)
-
-        def task(kernel=kernel, y_direct=y_direct,
-                 y_local=y_local) -> None:
-            kernel(get_x(), y_direct, y_local)
-
-        tasks.append(task)
-    return tasks
-
-
-def compile_unsymmetric_tasks(
-    matrix, partitions, k: Optional[int], y, get_x
-) -> list:
-    """Per-thread closures for the row-partitioned unsymmetric driver:
-    CSX partitions execute by index, CSR by row range. Shared with the
-    process-pool workers like :func:`compile_symmetric_tasks`."""
-    multi = k is not None
-    tasks = []
-    if hasattr(matrix, "spmv_partition_only"):
-        for tid in range(len(partitions)):
-            kernel = (
-                matrix.spmm_partition_only
-                if multi
-                else matrix.spmv_partition_only
-            )
-
-            def task(kernel=kernel, tid=tid) -> None:
-                kernel(get_x(), y, tid)
-
-            tasks.append(task)
-    else:
-        for start, end in partitions:
-            kernel = matrix.spmm_rows if multi else matrix.spmv_rows
-
-            def task(kernel=kernel, start=start, end=end) -> None:
-                kernel(get_x(), y, start, end)
-
-            tasks.append(task)
-    return tasks
 
 
 class BoundOperator:
@@ -217,18 +146,12 @@ class BoundOperator:
         self._y = np.zeros(shape, dtype=np.float64)
         self._x: Optional[np.ndarray] = None
         self._x_shape = (m.n_cols,) if k is None else (m.n_cols, k)
-        self._x_staged: Optional[np.ndarray] = None
-        self._remote = None
-        self._arenas: list = []
         tracer = _active_tracer()
         with tracer.span("bind", k=k, threads=driver.n_threads):
             with tracer.span("bind.precompile"):
                 self._precompile()
             with tracer.span("bind.workspaces"):
                 self._allocate_workspaces()
-            if getattr(driver.executor, "mode", None) == "processes":
-                with tracer.span("bind.processes"):
-                    self._setup_process_backend()
             with tracer.span("bind.tasks"):
                 self._tasks = self._build_tasks()
         # Elements _zero_workspaces clears per call (constant once
@@ -251,79 +174,6 @@ class BoundOperator:
         """One precompiled closure per thread; each reads ``self._x``."""
         raise NotImplementedError
 
-    def _setup_process_backend(self) -> None:
-        """Migrate the workspaces into shared memory and spin up the
-        long-lived worker pool (``processes`` executor only).
-
-        Two arenas per operator: a *data* arena holding the pickled
-        driver state with its array buffers carved out-of-band
-        (protocol 5 — workers reconstruct the matrix zero-copy), and a
-        *workspace* arena holding ``y``, the staged input slot and the
-        reduction's local buffers. The parent's ``self._y`` /
-        ``self._locals`` are re-pointed at arena views, so the existing
-        zero/reduce/recover machinery — and the serial fallback, which
-        runs the parent-side closures — operate on the very memory the
-        workers write.
-        """
-        from . import shm as _shm
-        from .procpool import ProcessPool, WorkerSpec
-
-        driver = self.driver
-        executor = driver.executor
-        reduction = getattr(driver, "reduction", None)
-        payload, table, data = _shm.pack_to_arena(
-            (driver.matrix, tuple(driver.partitions), reduction)
-        )
-        self._arenas.append(data)
-
-        locals_ = getattr(self, "_locals", None)
-        shapes = [(self._y.shape, np.float64), (self._x_shape, np.float64)]
-        if locals_:
-            shapes.extend(
-                (buf.shape, np.float64) for buf in locals_ if buf is not None
-            )
-        ws = _shm.SharedArena(_shm.workspace_capacity(shapes))
-        self._arenas.append(ws)
-
-        new_y, y_off = ws.alloc(self._y.shape)
-        self._y = new_y
-        self._x_staged, x_off = ws.alloc(self._x_shape)
-        locals_refs: list = []
-        if locals_ is not None:
-            for i, buf in enumerate(locals_):
-                if buf is None:
-                    locals_refs.append(None)
-                else:
-                    arr, off = ws.alloc(buf.shape)
-                    locals_[i] = arr
-                    locals_refs.append((off, tuple(buf.shape)))
-
-        spec = WorkerSpec(
-            kind="sym" if reduction is not None else "unsym",
-            payload=payload,
-            table=table,
-            data_name=data.name,
-            ws_name=ws.name,
-            x_ref=(x_off, tuple(self._x_shape)),
-            y_ref=(y_off, tuple(self._y.shape)),
-            locals_refs=locals_refs,
-            k=self.k,
-            plan=executor.plan,
-        )
-        n_workers = driver.n_threads
-        if executor.max_workers is not None:
-            n_workers = min(n_workers, executor.max_workers)
-        self._remote = ProcessPool(spec, n_workers)
-
-    def _stage_input(self, x: np.ndarray) -> np.ndarray:
-        """Copy the call's input into the shared staging slot (process
-        backend) so the workers see it; identity otherwise."""
-        if self._x_staged is not None:
-            if x is not self._x_staged:
-                np.copyto(self._x_staged, x)
-            return self._x_staged
-        return x
-
     def _zero_workspaces(self) -> None:
         self._y[...] = 0.0
 
@@ -332,8 +182,7 @@ class BoundOperator:
         batch over ``self._tasks``; the colored symmetric path overrides
         this with barrier-stepped execution."""
         self.driver.executor.run_batch(
-            self._tasks, label=label, reset=self._zero_workspaces,
-            remote=self._remote,
+            self._tasks, label=label, reset=self._zero_workspaces
         )
 
     def _finish(self) -> None:
@@ -451,7 +300,7 @@ class BoundOperator:
         overhead benchmark times this directly as the zero-
         instrumentation control for the disabled-tracer overhead."""
         self._zero_workspaces()
-        self._x = self._stage_input(x)
+        self._x = x
         try:
             self._run_mult()
             self._finish()
@@ -494,7 +343,7 @@ class BoundOperator:
             tracer.metrics.counter("bound.zeroed_elements").inc(
                 self._zero_volume
             )
-            self._x = self._stage_input(x)
+            self._x = x
             try:
                 with tracer.span("spmv.mult"):
                     self._run_mult(label="spmv.mult.task")
@@ -546,17 +395,7 @@ class BoundOperator:
             self._closed = True
             self._tasks = []
             self._y = None
-            self._x_staged = None
             with _active_tracer().span("bound.close"):
-                # Pool before arenas: workers must have detached (or
-                # been terminated) before the owner unlinks the
-                # segments.
-                if self._remote is not None:
-                    self._remote.close()
-                    self._remote = None
-                for arena in self._arenas:
-                    arena.close()
-                self._arenas = []
                 self.driver.matrix.clear_caches()
 
     def __enter__(self) -> "BoundOperator":
@@ -624,11 +463,35 @@ class BoundSymmetricSpMV(BoundOperator):
         return int(self.driver.reduction.zeroed_elements(self.k))
 
     def _build_tasks(self) -> list:
-        return compile_symmetric_tasks(
-            self.driver.matrix, self.driver.reduction,
-            self.driver.partitions, self.k, self._y, self._locals,
-            lambda: self._x,
-        )
+        """Per-thread multiplication closures. Each holds its
+        partition's kernel (``partition_kernel``: for SSS the bind-time
+        local/direct split), so dropping the tasks releases those plans.
+
+        For a conflict-free (coloring) reduction this returns the
+        schedule's *steps* — a list of barrier-separated task lists —
+        instead of a flat list; :meth:`_run_mult` runs them
+        step-at-a-time."""
+        driver = self.driver
+        reduction = driver.reduction
+        if self._conflict_free:
+            from .coloring import compile_colored_steps
+
+            return compile_colored_steps(
+                reduction.schedule, self._y, lambda: self._x, self.k
+            )
+        tasks = []
+        for tid, (start, end) in enumerate(driver.partitions):
+            y_direct, y_local = reduction.thread_targets(
+                tid, self._y, self._locals
+            )
+            kernel = driver.matrix.partition_kernel(start, end, self.k)
+
+            def task(kernel=kernel, y_direct=y_direct,
+                     y_local=y_local) -> None:
+                kernel(self._x, y_direct, y_local)
+
+            tasks.append(task)
+        return tasks
 
     def _run_mult(self, label: Optional[str] = None) -> None:
         if not self._conflict_free:
@@ -638,7 +501,7 @@ class BoundSymmetricSpMV(BoundOperator):
 
         run_colored_steps(
             self.driver.executor, self._tasks, label=label,
-            zero=self._zero_workspaces, remote=self._remote,
+            zero=self._zero_workspaces,
         )
 
     def _zero_workspaces(self) -> None:
@@ -674,7 +537,30 @@ class BoundSpMV(BoundOperator):
         self.driver.matrix.precompile(self.k)
 
     def _build_tasks(self) -> list:
-        return compile_unsymmetric_tasks(
-            self.driver.matrix, self.driver.partitions, self.k,
-            self._y, lambda: self._x,
-        )
+        """Per-thread closures: CSX partitions execute by index, CSR
+        by row range."""
+        matrix = self.driver.matrix
+        y = self._y
+        multi = self.k is not None
+        tasks = []
+        if hasattr(matrix, "spmv_partition_only"):
+            kernel = (
+                matrix.spmm_partition_only
+                if multi
+                else matrix.spmv_partition_only
+            )
+            for tid in range(self.driver.n_threads):
+
+                def task(tid=tid) -> None:
+                    kernel(self._x, y, tid)
+
+                tasks.append(task)
+        else:
+            kernel = matrix.spmm_rows if multi else matrix.spmv_rows
+            for start, end in self.driver.partitions:
+
+                def task(start=start, end=end) -> None:
+                    kernel(self._x, y, start, end)
+
+                tasks.append(task)
+        return tasks

@@ -18,8 +18,7 @@ adjacency graph. This module provides
   two-level execution plan behind the ``"coloring"`` reduction strategy
   (color classes → nnz-balanced row batches, barrier between classes),
 - :func:`compile_colored_steps` / :func:`run_colored_steps` — task
-  compilation and barrier-stepped execution shared by the bound
-  operators and the process-pool workers,
+  compilation and barrier-stepped execution for the bound operators,
 - the :func:`predict_colored_time` roofline account.
 
 The paper's observation — "the geometry of the graphs limits the
@@ -245,19 +244,6 @@ class _ClassSegment:
         self.erows = erows
         self.local_rows = local_rows
         self._flat: dict[int, np.ndarray] = {}
-
-    def __getstate__(self):
-        return (
-            self.rows, self.diag, self.cols,
-            self.vals, self.erows, self.local_rows,
-        )
-
-    def __setstate__(self, state):
-        (
-            self.rows, self.diag, self.cols,
-            self.vals, self.erows, self.local_rows,
-        ) = state
-        self._flat = {}
 
     def flat_index(self, k: int) -> np.ndarray:
         """Flattened ``(element, k)`` bincount keys for the multi-RHS
@@ -490,11 +476,10 @@ def run_colored_steps(
     *,
     label: Optional[str] = None,
     zero: Optional[Callable[[], None]] = None,
-    remote=None,
 ) -> None:
     """Execute compiled colored steps: one ``run_batch`` per step (the
-    inter-class barrier — both the thread pool and the process pool
-    return only after every task of the batch completed).
+    inter-class barrier — ``run_batch`` returns only after every task
+    of the batch completed).
 
     The per-step reset hook re-zeroes the workspaces *and replays every
     completed earlier step serially* before the executor's
@@ -513,7 +498,6 @@ def run_colored_steps(
             tasks,
             label=label,
             reset=step_reset,
-            remote=remote,
             tid_base=tid_base,
         )
         done.extend(tasks)

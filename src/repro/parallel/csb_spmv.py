@@ -50,11 +50,6 @@ class ParallelCSBSymSpMV:
         validate_partitions(partitions, matrix.n_rows)
         self.partitions = [(int(s), int(e)) for s, e in partitions]
         self.executor = executor or Executor("serial")
-        if self.executor.mode == "processes":
-            raise ValueError(
-                "ParallelCSBSymSpMV has no bound operator to carry its "
-                "tasks into worker processes; use 'threads' or 'serial'"
-            )
         self.last_stats: Optional[CSBRunStats] = None
 
     @property

@@ -1,26 +1,19 @@
-"""Task execution backends (thread pools and process pools).
+"""Task execution backends.
 
 The library needs to run "one task per thread" twice per SpM×V (the
-multiplication phase and the reduction phase). Four backends exist:
+multiplication phase and the reduction phase). Three backends exist,
+all on one in-process execution path:
 
 * ``serial`` (default) — tasks run sequentially in deterministic order.
   Correctness and the traffic instrumentation are identical to a
   parallel run (the algorithms are data-race-free by construction);
   this is the reproducible backend the experiments use, with timing
   supplied by the machine model (see DESIGN.md's hardware substitution).
-* ``threads`` — a real ``ThreadPoolExecutor``. NumPy releases the GIL
-  inside its kernels, so this demonstrates genuine concurrency, but
-  wall-clock scaling on the host says nothing about the paper's
-  platforms and is only used by the sanity benchmarks.
-* ``processes`` — GIL-free true parallelism over
-  ``multiprocessing.shared_memory`` workspaces. The backend only
-  engages through a bound operator (whose ``bind`` builds the
-  segments and the long-lived worker pool; see DESIGN.md §4g), which
-  every driver call goes through. Plain closures cannot cross a
-  process boundary, so a ``run_batch`` without the operator's worker
-  pool raises instead of running anywhere else. A ``plan=`` composes
-  chaos injection with the process backend — dispatch order is
-  perturbed in the parent, raise/delay faults fire inside the workers.
+* ``threads`` — a real ``ThreadPoolExecutor`` over shared output and
+  local vectors, the paper's Pthreads arrangement. The compiled CSR/SSS
+  kernels and NumPy release the GIL inside their loops, so this is
+  genuine concurrency; host wall clock still says nothing about the
+  paper's platforms.
 * ``chaos`` — the ``threads`` backend with a deterministic
   :class:`~repro.resilience.chaos.ChaosPlan` injecting per-task
   exceptions, delays and submission reorders, so every failure path of
@@ -48,14 +41,10 @@ from typing import Callable, Optional, Sequence
 from ..obs.tracer import active as _active_tracer, warn as _obs_warn
 from ..resilience.chaos import ChaosPlan
 from ..resilience.errors import BatchExecutionError, TaskFailure
-from .shm import shared_memory_available as _shm_available
 
 __all__ = ["Executor"]
 
-_MODES = ("serial", "threads", "processes", "chaos")
-
-#: Modes that accept a ``plan=`` (fault injection / scheduling chaos).
-_PLAN_MODES = ("chaos", "processes")
+_MODES = ("serial", "threads", "chaos")
 
 
 class Executor:
@@ -63,24 +52,20 @@ class Executor:
 
     Parameters
     ----------
-    mode : {"serial", "threads", "processes", "chaos"}
+    mode : {"serial", "threads", "chaos"}
     max_workers : int, optional
         Worker count for the pooled backends (defaults to the task
         count of each batch).
     plan : ChaosPlan, optional
         Fault plan for the ``chaos`` backend (default: a delay/reorder
-        only ``ChaosPlan(seed=0)`` — scheduling chaos, no exceptions)
-        or the ``processes`` backend (default: no plan; when given,
-        raise/delay faults fire inside the workers and the dispatch
-        order is perturbed in the parent). Rejected for other modes.
+        only ``ChaosPlan(seed=0)`` — scheduling chaos, no exceptions).
+        Rejected for other modes.
     fallback : {None, "serial"}
         ``"serial"`` retries a failed batch once, serially, after
         re-zeroing workspaces through the caller's ``reset`` hook.
 
-    Construction is fail-fast: an unknown mode, an unusable backend
-    (``processes`` without working shared memory) or a misplaced
-    ``plan=`` raises a typed ``ValueError`` here, not at the first
-    ``run_batch``.
+    Construction is fail-fast: an unknown mode or a misplaced ``plan=``
+    raises a typed ``ValueError`` here, not at the first ``run_batch``.
     """
 
     def __init__(
@@ -97,24 +82,15 @@ class Executor:
             )
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if plan is not None and mode not in _PLAN_MODES:
-            raise ValueError(
-                f"plan= is only meaningful with mode in {_PLAN_MODES}"
-            )
+        if plan is not None and mode != "chaos":
+            raise ValueError("plan= is only meaningful with mode 'chaos'")
         if fallback not in (None, "serial"):
             raise ValueError(f"unknown fallback {fallback!r}")
-        if mode == "processes" and not _shm_available():
-            raise ValueError(
-                "executor mode 'processes' needs working "
-                "multiprocessing.shared_memory, which this platform "
-                "does not provide; use 'threads' or 'serial'"
-            )
         self.mode = mode
         self.max_workers = max_workers
-        if mode == "chaos":
-            self.plan = plan if plan is not None else ChaosPlan(0)
-        else:
-            self.plan = plan  # processes: optional; others: None
+        if mode == "chaos" and plan is None:
+            plan = ChaosPlan(0)
+        self.plan = plan
         self.fallback = fallback
         self.n_batches = 0
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -131,7 +107,6 @@ class Executor:
         tasks: Sequence[Callable[[], None]],
         label: Optional[str] = None,
         reset: Optional[Callable[[], None]] = None,
-        remote=None,
         tid_base: int = 0,
     ) -> Optional[int]:
         """Execute all tasks; returns when every task has finished.
@@ -151,18 +126,6 @@ class Executor:
         Per-task and whole-batch durations additionally stream into the
         tracer's ``task.latency_ns`` / ``batch.latency_ns`` histograms,
         labelled with the batch label and the executor mode.
-        The process backend records the equivalent spans from worker-
-        reported durations, attributed with the worker ``pid``.
-
-        ``remote`` is the ``processes`` dispatch handle — a
-        :class:`~repro.parallel.procpool.ProcessPool` a bound operator
-        passes in, whose workers execute the *shared-memory* mirror of
-        ``tasks`` by index. ``tasks`` itself stays authoritative for
-        the serial fallback path, which runs the parent-side closures
-        over the very same shared arrays. A ``processes`` executor
-        called without ``remote`` raises ``ValueError``: closures
-        cannot cross the process boundary, and running them on threads
-        instead would silently change the backend.
 
         On failure every sibling future is awaited or cancelled first,
         then a single :class:`BatchExecutionError` aggregates all task
@@ -172,20 +135,13 @@ class Executor:
         workspaces to their pre-batch state.
 
         ``tid_base`` offsets the task ids this batch reports (trace
-        spans, chaos-plan derivation, remote dispatch). The colored
-        schedule issues one ``run_batch`` per barrier-separated step and
-        passes the cumulative task offset, so a process pool indexes the
-        workers' *flat* step-major task list and chaos faults stay
-        deterministic per global task, not per step-local position.
+        spans, chaos-plan derivation). The colored schedule issues one
+        ``run_batch`` per barrier-separated step and passes the
+        cumulative task offset, so chaos faults stay deterministic per
+        global task, not per step-local position.
         """
         if not tasks:
             return None
-        if self.mode == "processes" and remote is None:
-            raise ValueError(
-                "a 'processes' executor runs only a bound operator's "
-                "worker pool (remote=); apply through driver(x) or "
-                "driver.bind(k)"
-            )
         tasks = list(tasks)
         tracer = _active_tracer()
         name = label or "task"
@@ -221,25 +177,12 @@ class Executor:
                 for i, task in enumerate(tasks)
             ]
             order = self.plan.submission_order(batch, len(tasks))
-        elif self.plan is not None:  # processes + chaos plan
-            exec_tasks = tasks
-            order = self.plan.submission_order(batch, len(tasks))
         else:
             exec_tasks = tasks
             order = list(range(len(tasks)))
 
         try:
-            if self.mode == "processes":
-                remote.run(
-                    batch,
-                    len(tasks),
-                    [tid_base + i for i in order],
-                    label=name,
-                )
-            else:
-                self._run_pooled(
-                    instrumented(exec_tasks), order, name, batch
-                )
+            self._run_pooled(instrumented(exec_tasks), order, name, batch)
         except BatchExecutionError:
             if self.fallback != "serial":
                 raise

@@ -13,8 +13,7 @@ Both drivers have one execution path: the
 validates its operands and applies ``driver.operator(k)`` — the
 driver's own bound operator for that right-hand-side width, bound on
 first use and cached — into ``y`` or a fresh array. ``driver.close()``
-(or ``with driver:``) releases the cached operators, including the
-worker pool and shared-memory segments of a ``processes`` executor.
+(or ``with driver:``) releases the cached operators.
 ``driver.bind(k)`` still returns a new, caller-owned operator.
 """
 

@@ -31,9 +31,7 @@ from .errors import (
     ExecutionError,
     OperatorClosedError,
     PoisonedOperatorError,
-    RemoteTaskError,
     TaskFailure,
-    WorkerCrashError,
 )
 
 __all__ = [
@@ -47,6 +45,4 @@ __all__ = [
     "PoisonedOperatorError",
     "OperatorClosedError",
     "ChaosInjectedError",
-    "WorkerCrashError",
-    "RemoteTaskError",
 ]

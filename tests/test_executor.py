@@ -53,8 +53,10 @@ def test_serial_propagates_exceptions():
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        Executor("fibers")
+    # A retired backend name must fail loudly, not fall back.
+    for mode in ("fibers", "processes"):
+        with pytest.raises(ValueError):
+            Executor(mode)
 
 
 def test_pool_reused_across_batches():
@@ -156,38 +158,11 @@ def test_pool_growth_retires_old_workers():
 
 
 # ----------------------------------------------------------------------
-# Fail-fast construction of the processes backend
+# Fail-fast construction
 # ----------------------------------------------------------------------
 def test_unknown_mode_error_lists_backends():
     with pytest.raises(ValueError) as exc_info:
         Executor("fibers")
     msg = str(exc_info.value)
-    for mode in ("serial", "threads", "processes", "chaos"):
+    for mode in ("serial", "threads", "chaos"):
         assert mode in msg
-
-
-def test_processes_rejected_without_shared_memory(monkeypatch):
-    monkeypatch.setattr(
-        "repro.parallel.executor._shm_available", lambda: False
-    )
-    with pytest.raises(ValueError) as exc_info:
-        Executor("processes")
-    assert "shared_memory" in str(exc_info.value)
-
-
-def test_processes_accepts_chaos_plan():
-    from repro.resilience import ChaosPlan
-
-    plan = ChaosPlan(0, p_raise=0.0, p_delay=0.3, max_delay_ms=0.1)
-    ex = Executor("processes", max_workers=2, plan=plan)
-    assert ex.plan is plan
-    ex.close()
-
-
-def test_chaos_mode_defaults_plan_processes_does_not():
-    chaos = Executor("chaos")
-    assert chaos.plan is not None
-    procs = Executor("processes")
-    assert procs.plan is None
-    chaos.close()
-    procs.close()

@@ -1,13 +1,10 @@
 """Cross-backend identity of the streaming metrics and counters.
 
-The tentpole guarantee of the metrics subsystem: a ``processes`` run
-reports the *same* metric names and the *same* (bit-identical) kernel
-counter totals as a serial run. Counters are recorded deep inside the
-format kernels — under the process backend those execute in worker
-processes, whose registry snapshots come back in each batch reply and
-are merged into the parent; losing that merge silently drops every
-worker-side counter (the historical failure mode this file pins
-down).
+The guarantee of the metrics subsystem: a threaded run reports the
+*same* metric names and the *same* (bit-identical) kernel counter
+totals as a serial run. Counters are recorded deep inside the format
+kernels, on whichever pool thread runs the task; the per-thread shards
+must merge into one registry without losing any of them.
 
 Also covered here: the per-layer recorders (executor batch/task
 latency, bound-operator apply/traffic, solver per-iteration metrics)
@@ -84,8 +81,7 @@ def test_metric_names_and_counters_identical_across_backends(
             continue
         assert tracer.metrics.metric_names() == serial_names, backend
         # Kernel counter totals are bit-identical: same work, same
-        # counts, whether recorded inline, from pool threads, or folded
-        # back from worker-process deltas.
+        # counts, whether recorded inline or from pool threads.
         assert snap["counters"] == serial_counters, backend
         # The modeled traffic stream is deterministic too.
         for entry, ref in zip(
@@ -94,19 +90,6 @@ def test_metric_names_and_counters_identical_across_backends(
             assert entry["name"] == ref["name"]
             if entry["name"] == "op.traffic_bytes":
                 assert entry["summary"]["sum"] == ref["summary"]["sum"]
-
-
-def test_worker_counter_deltas_fold_into_parent():
-    """Under the process backend the kernels run in worker processes;
-    their counters must still land in the parent's registry (the
-    historical vanishing-counters bug)."""
-    _, serial_snap = _instrumented_run("banded", "sss", "indexed",
-                                       "serial")
-    _, proc_snap = _instrumented_run("banded", "sss", "indexed",
-                                     "processes")
-    assert proc_snap["counters"] == serial_snap["counters"]
-    names = {e["name"] for e in proc_snap["counters"]}
-    assert {"traffic.matrix_bytes", "reduce.rows_touched"} <= names
 
 
 def test_histogram_labels_carry_backend_and_reduction():

@@ -24,6 +24,7 @@ import pytest
 
 from repro.cli import main
 from repro.formats import COOMatrix, SSSMatrix
+from repro.formats.validate import BoundsError
 from repro.matrices.mmio import iter_coordinates, read_matrix_market
 from repro.obs.tracer import Tracer, tracing
 from repro.ooc import (
@@ -202,6 +203,31 @@ class TestIngest:
         with pytest.raises(ManifestError, match="symmetric"):
             ingest_matrix_market(bad, tmp_path / "out")
 
+    def test_size_beyond_int32_rejected(self, tmp_path):
+        # Shard colind is int32: a declared extent past 2**31 - 1 must
+        # be refused from the size line, before pass 1 sizes its per-row
+        # counts by it (~17 GB here) and before any column is narrowed.
+        n = 2**31 + 5
+        wide = tmp_path / "wide.mtx"
+        wide.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            f"{n} {n} 1\n{n} 1 1.0\n"
+        )
+        with pytest.raises(BoundsError, match="int32"):
+            ingest_matrix_market(wide, tmp_path / "out")
+        assert not list((tmp_path / "out").glob("shard_*"))
+
+    def test_payload_rejects_column_beyond_int32(self):
+        from repro.ooc.shards import _build_payload
+
+        # Diagonal (r0, r0) plus the lower entry (r0 + 1, r0), whose
+        # column would wrap to 0 as int32.
+        r0 = 2**32
+        rows = np.array([r0, r0 + 1], dtype=np.int64)
+        cols = np.array([r0, r0], dtype=np.int64)
+        with pytest.raises(BoundsError, match="int32"):
+            _build_payload(r0, r0 + 2, r0 + 2, rows, cols, np.ones(2))
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ManifestError, match="no shard manifest"):
             ShardStore(tmp_path)
@@ -339,14 +365,6 @@ class TestShardedOperator:
         finally:
             ex.close()
         assert np.array_equal(serial, threaded)
-
-    def test_processes_executor_rejected(self, store64):
-        ex = Executor("processes", max_workers=2)
-        try:
-            with pytest.raises(ValueError, match="processes"):
-                ShardedOperator(store64, executor=ex)
-        finally:
-            ex.close()
 
     def test_evicted_and_closed_shards_close_their_drivers(self, store64):
         budget = max(i.n_bytes for i in store64.shards) + 1
